@@ -401,6 +401,22 @@ mod tests {
     }
 
     #[test]
+    fn formulas_without_clauses_or_variables_pick_without_degrading() {
+        for text in ["p cnf 3 0\n", "p cnf 0 0\n"] {
+            let f = cnf::parse_dimacs_str(text).unwrap();
+            let out = tiny_solver().solve(&f, Budget::unlimited());
+            assert!(out.result.model().is_some(), "{text:?} is satisfiable");
+            assert_eq!(out.source, PolicySource::Model, "{text:?}");
+            assert!(
+                out.degradations.is_empty(),
+                "{text:?}: {:?}",
+                out.degradations
+            );
+            assert!(out.record.degradations.is_empty(), "{text:?}");
+        }
+    }
+
+    #[test]
     fn threshold_controls_choice() {
         let f = sat_gen::phase_transition_3sat(20, 1);
         let mut s = tiny_solver();

@@ -79,6 +79,36 @@ impl LinearAttention {
         tape.div_cols(num, d)
     }
 
+    /// Eager inference: the value of [`forward`](Self::forward), bit for
+    /// bit (same kernels, same summation order), dropping each
+    /// intermediate after its last use.
+    pub fn infer(&self, store: &ParamStore, z: &Matrix) -> Matrix {
+        let n = z.rows();
+        let inv_n = 1.0 / n as f32;
+        let mut qn = self.f_q.infer(store, z);
+        qn.frob_normalize_in_place();
+        let kt = {
+            let mut kn = self.f_k.infer(store, z);
+            kn.frob_normalize_in_place();
+            kn.transpose()
+        };
+        let mut v = self.f_v.infer(store, z);
+
+        // (1/N) Q̃ (K̃ᵀ V)
+        let mut qktv = qn.matmul(&kt.matmul(&v));
+        qktv.scale_in_place(inv_n);
+
+        // D = diag(1 + (1/N) Q̃ (K̃ᵀ 1))
+        let mut d = qn.matmul(&kt.matmul(&Matrix::full(n, 1, 1.0)));
+        d.scale_in_place(inv_n);
+        d.add_scalar_in_place(1.0);
+
+        // D⁻¹ [V + …]
+        v.add_assign(&qktv);
+        v.div_cols_in_place(&d);
+        v
+    }
+
     /// Reference implementation that materializes the full `N × N`
     /// attention matrix `(1/N) Q̃ K̃ᵀ`. Produces the same values as
     /// [`forward`](Self::forward) (up to floating-point associativity) in
@@ -145,6 +175,54 @@ mod tests {
                 assert!((a - b).abs() < 1e-4, "n={n}: {a} vs {b}");
             }
         }
+    }
+
+    /// Runs [`LinearAttention::forward`] on a fresh tape.
+    fn tape_forward(attn: &LinearAttention, store: &ParamStore, z: &Matrix) -> Matrix {
+        let mut tape = Tape::new();
+        let mut sess = Session::new(store);
+        let z = tape.leaf(z.clone());
+        let out = attn.forward(&mut tape, &mut sess, store, z);
+        tape.value(out).clone()
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn infer_matches_forward_bit_for_bit() {
+        let mut store = ParamStore::new();
+        let mut rng = init_rng(11);
+        let attn = LinearAttention::new(&mut store, 8, &mut rng);
+        for n in [1usize, 2, 7, 33] {
+            let z = random_features(n, 8, n as u64);
+            let eager = attn.infer(&store, &z);
+            assert_eq!(
+                bits(&eager),
+                bits(&tape_forward(&attn, &store, &z)),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn infer_matches_forward_bit_for_bit_at_the_divisor_clamp() {
+        let mut store = ParamStore::new();
+        let mut rng = init_rng(12);
+        let attn = LinearAttention::new(&mut store, 4, &mut rng);
+        // Keys are the negated queries: on a single node D = 1 − ‖q̃‖² ≈ 0.
+        *store.value_mut(attn.f_k.w) = store.value(attn.f_q.w).map(|x| -x);
+        let z = random_features(1, 4, 2);
+        let mut q = attn.f_q.infer(&store, &z);
+        q.frob_normalize_in_place();
+        let mut k = attn.f_k.infer(&store, &z);
+        k.frob_normalize_in_place();
+        let d = 1.0 + q.matmul(&k.transpose()).get(0, 0);
+        assert!(d.abs() < 1e-6, "D = {d} must take the clamped branch");
+        let eager = attn.infer(&store, &z);
+        assert!(eager.as_slice().iter().all(|x| x.is_finite()));
+        assert_eq!(bits(&eager), bits(&tape_forward(&attn, &store, &z)));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Basic neural layers: linear maps and multi-layer perceptrons.
 
-#[cfg(test)]
-use crate::Matrix;
-use crate::{NodeId, ParamId, ParamStore, Session, Tape};
+use crate::matrix::sigmoid;
+use crate::{Matrix, NodeId, ParamId, ParamStore, Session, Tape};
 use rand::rngs::SmallRng;
 
 /// Binds a stored parameter onto the tape through the session.
@@ -32,6 +31,17 @@ impl Activation {
             Activation::Tanh => tape.tanh(x),
             Activation::Sigmoid => tape.sigmoid(x),
             Activation::Identity => x,
+        }
+    }
+
+    /// Applies the activation to a value in place, with the same numerics
+    /// as [`apply`](Self::apply).
+    pub fn apply_in_place(self, x: &mut Matrix) {
+        match self {
+            Activation::Relu => x.relu_in_place(),
+            Activation::Tanh => x.map_in_place(f32::tanh),
+            Activation::Sigmoid => x.map_in_place(sigmoid),
+            Activation::Identity => {}
         }
     }
 }
@@ -84,6 +94,14 @@ impl Linear {
         let xw = tape.matmul(x, w);
         tape.add_row(xw, b)
     }
+
+    /// Eager inference: the value of [`forward`](Self::forward) on `x`,
+    /// bit for bit, without recording anything.
+    pub fn infer(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+        let mut y = x.matmul(store.value(self.w));
+        y.add_row_in_place(store.value(self.b));
+        y
+    }
 }
 
 /// A multi-layer perceptron with a configurable hidden activation and an
@@ -134,6 +152,18 @@ impl Mlp {
             if i + 1 < self.layers.len() {
                 h = self.activation.apply(tape, h);
             }
+        }
+        h
+    }
+
+    /// Eager inference: the value of [`forward`](Self::forward) on `x`,
+    /// bit for bit, keeping only the current layer's output alive.
+    pub fn infer(&self, store: &ParamStore, x: &Matrix) -> Matrix {
+        let (first, rest) = self.layers.split_first().expect("an MLP has layers");
+        let mut h = first.infer(store, x);
+        for layer in rest {
+            self.activation.apply_in_place(&mut h);
+            h = layer.infer(store, &h);
         }
         h
     }

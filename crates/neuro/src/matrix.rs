@@ -1,4 +1,5 @@
-//! Dense row-major `f32` matrices — the value type of the autodiff tape.
+//! Dense row-major `f32` matrices — the value type of the autodiff tape and
+//! of eager inference.
 
 use std::fmt;
 
@@ -138,23 +139,34 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
+    /// Each output element is summed over `k` in ascending order, starting
+    /// from `0.0` and skipping every `self[i][k] == 0.0`. Inputs are mostly
+    /// zeros (29 of 32 initial channels, and many post-ReLU values), so
+    /// the skip pays for its branch. At the paper's width of 32
+    /// output columns the row accumulates in a fixed-size local array the
+    /// compiler keeps in registers; the order, and so every bit, is the
+    /// same as the general path.
+    ///
     /// # Panics
     ///
     /// Panics on inner-dimension mismatch.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "matmul dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &other.data[k * other.cols..(k + 1) * other.cols];
-                let orow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
+        if self.cols == 0 || other.cols == 0 {
+            return out;
+        }
+        let rows = self.data.chunks_exact(self.cols);
+        let out_rows = out.data.chunks_exact_mut(other.cols);
+        if other.cols == 32 {
+            for (arow, orow) in rows.zip(out_rows) {
+                let mut acc = [0.0f32; 32];
+                accumulate_row(arow, &other.data, &mut acc);
+                orow.copy_from_slice(&acc);
+            }
+        } else {
+            for (arow, orow) in rows.zip(out_rows) {
+                accumulate_row(arow, &other.data, orow);
             }
         }
         out
@@ -245,6 +257,84 @@ impl Matrix {
         }
     }
 
+    /// In-place element-wise map `x ← f(x)`.
+    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
+        for x in &mut self.data {
+            *x = f(*x);
+        }
+    }
+
+    /// Adds the `1 × cols` row `row` to every row (the bias of an affine
+    /// layer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not `1 × cols`.
+    pub fn add_row_in_place(&mut self, row: &Matrix) {
+        assert_eq!(row.shape(), (1, self.cols), "row must be 1 × d");
+        if self.cols == 0 {
+            return;
+        }
+        for chunk in self.data.chunks_exact_mut(self.cols) {
+            for (x, &b) in chunk.iter_mut().zip(&row.data) {
+                *x += b;
+            }
+        }
+    }
+
+    /// Rectified linear unit `x ← max(x, 0)`.
+    pub fn relu_in_place(&mut self) {
+        self.map_in_place(|x| x.max(0.0));
+    }
+
+    /// Multiplies every element by `c`.
+    pub fn scale_in_place(&mut self, c: f32) {
+        self.map_in_place(|x| x * c);
+    }
+
+    /// Adds `c` to every element.
+    pub fn add_scalar_in_place(&mut self, c: f32) {
+        self.map_in_place(|x| x + c);
+    }
+
+    /// Frobenius normalization `x ← x / ‖x‖_F` (Equation 8's `Q̃`, `K̃`),
+    /// returning the norm it divided by. A floor of 1e-12 keeps the
+    /// all-zero matrix finite.
+    pub fn frob_normalize_in_place(&mut self) -> f32 {
+        let norm = self.frob_norm().max(1e-12);
+        self.map_in_place(|x| x / norm);
+        norm
+    }
+
+    /// Divides every row `r` by `d[r]`, where `d` is `rows × 1` (the `D⁻¹`
+    /// of Equation 9). Divisors pass through [`clamp_divisor`] first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not `rows × 1`.
+    pub fn div_cols_in_place(&mut self, d: &Matrix) {
+        assert_eq!(d.shape(), (self.rows, 1), "divisor must be n × 1");
+        if self.cols == 0 {
+            return;
+        }
+        for (chunk, &dr) in self.data.chunks_exact_mut(self.cols).zip(&d.data) {
+            let dr = clamp_divisor(dr);
+            for x in chunk {
+                *x /= dr;
+            }
+        }
+    }
+
+    /// Sparse–dense product `a · x` for a constant CSR operator `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.cols() != x.rows()`.
+    pub fn spmm(a: &sat_graph::CsrMatrix, x: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), x.rows, "spmm dimension mismatch");
+        Matrix::from_vec(a.rows(), x.cols, a.matmul_dense(&x.data, x.cols))
+    }
+
     /// Frobenius norm `sqrt(Σ x²)`.
     pub fn frob_norm(&self) -> f32 {
         self.data.iter().map(|&x| x * x).sum::<f32>().sqrt()
@@ -269,6 +359,44 @@ impl Matrix {
         }
         out
     }
+}
+
+/// `out += Σ_k arow[k] · b[k]` over the rows `b[k]` of the row-major `b`
+/// (rows of `out.len()` elements), `k` ascending, skipping zero `arow[k]`.
+#[inline(always)]
+fn accumulate_row(arow: &[f32], b: &[f32], out: &mut [f32]) {
+    for (&a, brow) in arow.iter().zip(b.chunks_exact(out.len())) {
+        if a == 0.0 {
+            continue;
+        }
+        for (o, &b) in out.iter_mut().zip(brow) {
+            *o += a * b;
+        }
+    }
+}
+
+/// Clamps a divisor's magnitude to at least 1e-6, preserving its sign
+/// (`0.0` counts as positive).
+///
+/// The paper's `D = 1 + (1/N)·Q̃(K̃ᵀ1)` is almost always ≈ 1, but for
+/// degenerate inputs (e.g. a single node with anti-aligned query/key) it
+/// can reach zero, and an unguarded division would poison the whole
+/// forward pass with NaNs.
+#[inline]
+pub(crate) fn clamp_divisor(d: f32) -> f32 {
+    if d.abs() >= 1e-6 {
+        d
+    } else if d.is_sign_negative() {
+        -1e-6
+    } else {
+        1e-6
+    }
+}
+
+/// The logistic function `1 / (1 + e^{-x})`.
+#[inline]
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
 }
 
 impl fmt::Debug for Matrix {
@@ -299,6 +427,32 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let c = a.matmul(&b);
         assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
+    }
+
+    #[test]
+    fn matmul_width_32_matches_the_general_path_bit_for_bit() {
+        // Zeros and negative zeros in `a` exercise the skip.
+        let a = Matrix::from_vec(
+            5,
+            7,
+            (0..35)
+                .map(|i| match i % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (i as f32 * 0.37).sin(),
+                })
+                .collect(),
+        );
+        let b = Matrix::from_vec(7, 32, (0..224).map(|i| (i as f32 * 0.11).cos()).collect());
+        let wide = a.matmul(&b);
+        for j in 0..32 {
+            // A one-column product takes the general path.
+            let col = Matrix::from_vec(7, 1, (0..7).map(|k| b.get(k, j)).collect());
+            let narrow = a.matmul(&col);
+            for i in 0..5 {
+                assert_eq!(wide.get(i, j).to_bits(), narrow.get(i, 0).to_bits());
+            }
+        }
     }
 
     #[test]

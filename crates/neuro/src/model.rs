@@ -1,6 +1,7 @@
 //! The NeuroSelect model: Hybrid Graph Transformer layers plus a
 //! classification head (Sections 4.1, 4.3, 4.4).
 
+use crate::matrix::sigmoid;
 use crate::{
     Activation, BipartiteMpnn, GraphTensors, LinearAttention, Matrix, Mlp, NodeId, ParamStore,
     Session, Tape,
@@ -56,6 +57,26 @@ impl HgtLayer {
         // clause features pass through from the MPNN.
         if let Some(attn) = &self.attention {
             hv = attn.forward(tape, sess, store, hv);
+        }
+        (hv, hc)
+    }
+
+    /// Eager inference: the values of [`forward`](Self::forward), bit for
+    /// bit. Takes the features by value so each is dropped as soon as the
+    /// next one exists.
+    pub fn infer(
+        &self,
+        store: &ParamStore,
+        g: &GraphTensors,
+        x_var: Matrix,
+        x_clause: Matrix,
+    ) -> (Matrix, Matrix) {
+        let (mut hv, mut hc) = (x_var, x_clause);
+        for layer in &self.mpnn {
+            (hv, hc) = layer.infer(store, g, &hv, &hc);
+        }
+        if let Some(attn) = &self.attention {
+            hv = attn.infer(store, &hv);
         }
         (hv, hc)
     }
@@ -154,14 +175,44 @@ impl NeuroSelectModel {
         &self.config
     }
 
-    /// Runs the forward pass, returning the scalar logit node.
+    /// The initial `(variable, clause)` features.
     ///
-    /// Initial features follow Section 4.2 — channel 0 is `1` for variable
-    /// nodes and `0` for clause nodes — augmented with two structural
-    /// channels (log-degree and positive-occurrence fraction). Equation
-    /// (6)'s *mean* aggregation makes constant features degree-blind, so
-    /// without this augmentation the network cannot see instance size at
-    /// all; DESIGN.md §7 records the deviation.
+    /// They follow Section 4.2 — channel 0 is `1` for variable nodes and
+    /// `0` for clause nodes — augmented with two structural channels
+    /// (log-degree and positive-occurrence fraction). Equation (6)'s *mean*
+    /// aggregation makes constant features degree-blind, so without this
+    /// augmentation the network cannot see instance size at all; DESIGN.md
+    /// §7 records the deviation. An empty node set gets one all-zero row.
+    fn initial_features(&self, g: &GraphTensors) -> (Matrix, Matrix) {
+        let d = self.config.hidden_dim;
+        let mut hv = Matrix::zeros(g.num_vars.max(1), d);
+        for (r, &(log_deg, pos_frac)) in g.var_structure.iter().enumerate() {
+            hv.set(r, 0, 1.0);
+            hv.set(r, 1, 0.25 * log_deg);
+            hv.set(r, 2, pos_frac);
+        }
+        let mut hc = Matrix::zeros(g.num_clauses.max(1), d);
+        for (r, &(log_len, pos_frac)) in g.clause_structure.iter().enumerate() {
+            hc.set(r, 1, 0.25 * log_len);
+            hc.set(r, 2, pos_frac);
+        }
+        (hv, hc)
+    }
+
+    /// The `1 × 2` global-size input of the readout's size embedding.
+    fn size_stats(g: &GraphTensors) -> Matrix {
+        Matrix::from_vec(
+            1,
+            2,
+            vec![
+                0.1 * (1.0 + g.num_vars as f32).ln(),
+                0.1 * (1.0 + g.num_clauses as f32).ln(),
+            ],
+        )
+    }
+
+    /// Runs the forward pass on the tape, returning the scalar logit node.
+    /// Training uses this; inference uses [`infer`](Self::infer).
     pub fn forward(
         &self,
         tape: &mut Tape,
@@ -169,20 +220,7 @@ impl NeuroSelectModel {
         store: &ParamStore,
         g: &GraphTensors,
     ) -> NodeId {
-        let d = self.config.hidden_dim;
-        let nv = g.num_vars.max(1);
-        let nc = g.num_clauses.max(1);
-        let mut hv_init = Matrix::zeros(nv, d);
-        for (r, &(log_deg, pos_frac)) in g.var_structure.iter().enumerate() {
-            hv_init.set(r, 0, 1.0);
-            hv_init.set(r, 1, 0.25 * log_deg);
-            hv_init.set(r, 2, pos_frac);
-        }
-        let mut hc_init = Matrix::zeros(nc, d);
-        for (r, &(log_len, pos_frac)) in g.clause_structure.iter().enumerate() {
-            hc_init.set(r, 1, 0.25 * log_len);
-            hc_init.set(r, 2, pos_frac);
-        }
+        let (hv_init, hc_init) = self.initial_features(g);
         let mut hv = tape.leaf(hv_init);
         let mut hc = tape.leaf(hc_init);
         for layer in &self.layers {
@@ -193,17 +231,25 @@ impl NeuroSelectModel {
         // Equation (10): READOUT = mean over variable nodes, plus a learned
         // embedding of the instance's global size.
         let pooled = tape.mean_rows(hv);
-        let stats = tape.leaf(Matrix::from_vec(
-            1,
-            2,
-            vec![
-                0.1 * (1.0 + g.num_vars as f32).ln(),
-                0.1 * (1.0 + g.num_clauses as f32).ln(),
-            ],
-        ));
+        let stats = tape.leaf(Self::size_stats(g));
         let size_vec = self.size_embed.forward(tape, sess, store, stats);
         let combined = tape.add(pooled, size_vec);
         self.head.forward(tape, sess, store, combined)
+    }
+
+    /// Eager inference: the logit of [`forward`](Self::forward), bit for
+    /// bit, without a tape. Each intermediate is dropped after its last
+    /// use, so memory stays at a few feature matrices however deep the
+    /// model is.
+    pub fn infer(&self, store: &ParamStore, g: &GraphTensors) -> f32 {
+        let (mut hv, mut hc) = self.initial_features(g);
+        for layer in &self.layers {
+            (hv, hc) = layer.infer(store, g, hv, hc);
+        }
+        // Equation (10), as in `forward`.
+        let mut combined = hv.mean_rows();
+        combined.add_assign(&self.size_embed.infer(store, &Self::size_stats(g)));
+        self.head.infer(store, &combined).get(0, 0)
     }
 
     /// Inference: the probability that the propagation-frequency policy
@@ -222,11 +268,8 @@ impl NeuroSelectModel {
         g: &GraphTensors,
     ) -> (f32, std::time::Duration) {
         let start = std::time::Instant::now();
-        let mut tape = Tape::new();
-        let mut sess = Session::new(store);
-        let logit = self.forward(&mut tape, &mut sess, store, g);
-        let z = tape.value(logit).get(0, 0);
-        (1.0 / (1.0 + (-z).exp()), start.elapsed())
+        let logit = self.infer(store, g);
+        (sigmoid(logit), start.elapsed())
     }
 
     /// One training step on a single labelled graph (batch size 1, as in
@@ -343,6 +386,126 @@ mod tests {
         let model = NeuroSelectModel::new(&mut store, config);
         let p = model.predict(&store, &g);
         assert!((0.0..=1.0).contains(&p));
+    }
+
+    /// Asserts that eager inference reproduces the tape forward pass bit
+    /// for bit: the logit, and `predict` as the sigmoid of the tape logit.
+    fn assert_infer_matches_tape(
+        model: &NeuroSelectModel,
+        store: &ParamStore,
+        g: &GraphTensors,
+        what: &str,
+    ) {
+        let mut tape = Tape::new();
+        let mut sess = Session::new(store);
+        let logit = model.forward(&mut tape, &mut sess, store, g);
+        let z = tape.value(logit).get(0, 0);
+        assert!(z.is_finite(), "{what}: logit {z}");
+        assert_eq!(
+            model.infer(store, g).to_bits(),
+            z.to_bits(),
+            "{what}: logit"
+        );
+        assert_eq!(
+            model.predict(store, g).to_bits(),
+            sigmoid(z).to_bits(),
+            "{what}: probability"
+        );
+    }
+
+    /// A random 3-SAT formula with `vars` variables and `clauses` clauses.
+    fn random_3sat(vars: i32, clauses: usize, seed: u64) -> String {
+        use rand::Rng;
+        let mut rng = crate::init_rng(seed);
+        let mut text = format!("p cnf {vars} {clauses}\n");
+        for _ in 0..clauses {
+            for _ in 0..3 {
+                let v = rng.gen_range(1..=vars);
+                let lit = if rng.gen_bool(0.5) { v } else { -v };
+                text.push_str(&format!("{lit} "));
+            }
+            text.push_str("0\n");
+        }
+        text
+    }
+
+    /// Sets every attention block's keys to the negated queries, so that a
+    /// single variable node drives `D = 1 − ‖q̃‖²` to (about) zero and the
+    /// division takes the clamped branch.
+    fn anti_align_attention(model: &NeuroSelectModel, store: &mut ParamStore) {
+        for attn in model.layers.iter().filter_map(|l| l.attention.as_ref()) {
+            let [qw, qb, kw, kb, _, _] = attn.param_ids();
+            *store.value_mut(kw) = store.value(qw).map(|x| -x);
+            *store.value_mut(kb) = store.value(qb).map(|x| -x);
+        }
+    }
+
+    #[test]
+    fn infer_is_bit_identical_to_the_tape_forward() {
+        let configs = [
+            ("paper", NeuroSelectConfig::default()),
+            (
+                "no-attention",
+                NeuroSelectConfig {
+                    use_attention: false,
+                    ..NeuroSelectConfig::default()
+                },
+            ),
+            (
+                "dim3-no-hgt",
+                NeuroSelectConfig {
+                    hidden_dim: 3,
+                    hgt_layers: 0,
+                    ..NeuroSelectConfig::default()
+                },
+            ),
+            ("tiny", tiny_config()),
+        ];
+        let graphs = [
+            ("tiny", tensors("p cnf 3 2\n1 -2 0\n2 3 0\n")),
+            ("tautology", tensors("p cnf 3 2\n1 -1 2 0\n-2 3 0\n")),
+            ("3sat", tensors(&random_3sat(70, 300, 5))),
+            ("no-clauses", tensors("p cnf 3 0\n")),
+            ("empty", tensors("p cnf 0 0\n")),
+            ("single-var", tensors("p cnf 1 2\n1 0\n-1 0\n")),
+        ];
+        let train = [
+            tensors("p cnf 4 3\n1 -2 0\n2 3 4 0\n-1 -4 0\n"),
+            tensors(&random_3sat(20, 85, 9)),
+        ];
+        for (name, config) in configs {
+            let mut store = ParamStore::new();
+            let model = NeuroSelectModel::new(&mut store, config);
+            for (graph, g) in &graphs {
+                assert_infer_matches_tape(&model, &store, g, &format!("{name}/seeded/{graph}"));
+            }
+            // A few optimizer steps move the zero-initialized biases.
+            let mut adam = crate::Adam::new(0.01);
+            for (i, g) in train.iter().cycle().take(4).enumerate() {
+                model.train_step(&mut store, &mut adam, g, (i % 2) as u8);
+            }
+            let bias = store.value(model.size_embed.b).as_slice();
+            assert!(bias.iter().any(|&b| b != 0.0), "{name}: biases still zero");
+            for (graph, g) in &graphs {
+                assert_infer_matches_tape(&model, &store, g, &format!("{name}/trained/{graph}"));
+            }
+            anti_align_attention(&model, &mut store);
+            let (graph, g) = &graphs[5];
+            assert_infer_matches_tape(&model, &store, g, &format!("{name}/anti-aligned/{graph}"));
+        }
+    }
+
+    #[test]
+    fn predict_handles_formulas_without_clauses_or_variables() {
+        for text in ["p cnf 3 0\n", "p cnf 0 0\n"] {
+            let g = tensors(text);
+            let mut store = ParamStore::new();
+            let model = NeuroSelectModel::new(&mut store, tiny_config());
+            let p = model.predict(&store, &g);
+            assert!((0.0..=1.0).contains(&p), "{text:?}: {p}");
+            let loss = model.train_step(&mut store, &mut crate::Adam::new(0.01), &g, 1);
+            assert!(loss.is_finite(), "{text:?}: loss {loss}");
+        }
     }
 
     #[test]

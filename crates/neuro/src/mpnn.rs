@@ -1,12 +1,28 @@
 //! Bipartite message passing (Equations 6–7) and graph tensor caching.
 
-use crate::{Linear, NodeId, ParamStore, Session, Tape};
+use crate::{Linear, Matrix, NodeId, ParamStore, Session, Tape};
 use rand::rngs::SmallRng;
 use sat_graph::{BipartiteGraph, CsrMatrix, LiteralClauseGraph};
+use std::borrow::Cow;
 use std::rc::Rc;
+
+/// `m` resized to `rows × cols`. Only an empty operator (no clauses or no
+/// variables, hence no entries) ever needs it.
+fn padded(m: &CsrMatrix, rows: usize, cols: usize) -> Cow<'_, CsrMatrix> {
+    if (m.rows(), m.cols()) == (rows, cols) {
+        Cow::Borrowed(m)
+    } else {
+        assert_eq!(m.nnz(), 0, "only an empty operator can be padded");
+        Cow::Owned(CsrMatrix::from_triplets(rows, cols, &[]))
+    }
+}
 
 /// Cached sparse operators for one bipartite variable–clause graph, shared
 /// across layers and passes.
+///
+/// The models give an empty node set (a formula with no clauses or no
+/// variables) one all-zero feature row, so every operator counts at least
+/// one row and one column on each side to match.
 #[derive(Debug, Clone)]
 pub struct GraphTensors {
     /// Number of variable nodes.
@@ -38,16 +54,19 @@ pub struct GraphTensors {
 impl GraphTensors {
     /// Precomputes the aggregation operators for a graph.
     pub fn new(graph: &BipartiteGraph) -> Self {
-        let to_clause = Rc::new(graph.clause_to_var.row_normalized());
-        let to_var = Rc::new(graph.var_to_clause.row_normalized());
+        let (nv, nc) = (graph.num_vars.max(1), graph.num_clauses.max(1));
+        let clause_to_var = padded(&graph.clause_to_var, nc, nv);
+        let var_to_clause = padded(&graph.var_to_clause, nv, nc);
+        let to_clause = Rc::new(clause_to_var.row_normalized());
+        let to_var = Rc::new(var_to_clause.row_normalized());
         let abs = |m: &CsrMatrix| -> CsrMatrix {
             let triplets: Vec<(u32, u32, f32)> = (0..m.rows())
                 .flat_map(|r| m.row(r).iter().map(move |&(c, w)| (r as u32, c, w.abs())))
                 .collect();
             CsrMatrix::from_triplets(m.rows(), m.cols(), &triplets)
         };
-        let sum_to_clause = Rc::new(abs(&graph.clause_to_var));
-        let sum_to_var = Rc::new(abs(&graph.var_to_clause));
+        let sum_to_clause = Rc::new(abs(&clause_to_var));
+        let sum_to_var = Rc::new(abs(&var_to_clause));
         let structure = |m: &CsrMatrix| -> Vec<(f32, f32)> {
             (0..m.rows())
                 .map(|r| {
@@ -131,6 +150,30 @@ impl BipartiteMpnn {
         let hv_sum = tape.add(m_v, hv_self);
         let hv_out = self.out_var.forward(tape, sess, store, hv_sum);
         let h_var = tape.relu(hv_out);
+
+        (h_var, h_clause)
+    }
+
+    /// Eager inference: the values of [`forward`](Self::forward), bit for
+    /// bit, dropping each intermediate after its last use.
+    pub fn infer(
+        &self,
+        store: &ParamStore,
+        g: &GraphTensors,
+        x_var: &Matrix,
+        x_clause: &Matrix,
+    ) -> (Matrix, Matrix) {
+        let mut m_c = Matrix::spmm(&g.to_clause, &self.msg_from_var.infer(store, x_var));
+        m_c.add_assign(&self.self_clause.infer(store, x_clause));
+        let mut h_clause = self.out_clause.infer(store, &m_c);
+        drop(m_c);
+        h_clause.relu_in_place();
+
+        let mut m_v = Matrix::spmm(&g.to_var, &self.msg_from_clause.infer(store, &h_clause));
+        m_v.add_assign(&self.self_var.infer(store, x_var));
+        let mut h_var = self.out_var.infer(store, &m_v);
+        drop(m_v);
+        h_var.relu_in_place();
 
         (h_var, h_clause)
     }

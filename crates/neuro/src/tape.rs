@@ -8,6 +8,7 @@
 //! mean-row readout (Equation 10) and a fused sigmoid + binary cross-entropy
 //! loss (Equation 11).
 
+use crate::matrix::{clamp_divisor, sigmoid};
 use crate::Matrix;
 use sat_graph::CsrMatrix;
 use std::rc::Rc;
@@ -41,19 +42,6 @@ enum Op {
 struct Node {
     value: Matrix,
     op: Op,
-}
-
-/// Clamps a divisor's magnitude to at least 1e-6, preserving its sign
-/// (`0.0` counts as positive).
-#[inline]
-fn clamp_divisor(d: f32) -> f32 {
-    if d.abs() >= 1e-6 {
-        d
-    } else if d.is_sign_negative() {
-        -1e-6
-    } else {
-        1e-6
-    }
 }
 
 /// Gradients produced by [`Tape::backward`].
@@ -143,7 +131,8 @@ impl Tape {
 
     /// Element-wise sum of same-shape nodes.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value(a).zip(self.value(b), |x, y| x + y);
+        let mut v = self.value(a).clone();
+        v.add_assign(self.value(b));
         self.push(v, Op::Add(a, b))
     }
 
@@ -165,39 +154,35 @@ impl Tape {
     ///
     /// Panics if `row` is not `1 × d`.
     pub fn add_row(&mut self, x: NodeId, row: NodeId) -> NodeId {
-        let (n, d) = self.value(x).shape();
-        assert_eq!(self.value(row).shape(), (1, d), "row must be 1 × d");
         let mut v = self.value(x).clone();
-        for r in 0..n {
-            for c in 0..d {
-                let b = self.value(row).get(0, c);
-                v.set(r, c, v.get(r, c) + b);
-            }
-        }
+        v.add_row_in_place(self.value(row));
         self.push(v, Op::AddRow(x, row))
     }
 
     /// Multiplies every element by a constant.
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
-        let v = self.value(a).map(|x| x * c);
+        let mut v = self.value(a).clone();
+        v.scale_in_place(c);
         self.push(v, Op::Scale(a, c))
     }
 
     /// Adds a constant to every element.
     pub fn add_scalar(&mut self, a: NodeId, c: f32) -> NodeId {
-        let v = self.value(a).map(|x| x + c);
+        let mut v = self.value(a).clone();
+        v.add_scalar_in_place(c);
         self.push(v, Op::AddScalar(a))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(|x| x.max(0.0));
+        let mut v = self.value(a).clone();
+        v.relu_in_place();
         self.push(v, Op::Relu(a))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.value(a).map(sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -216,33 +201,23 @@ impl Tape {
     /// Frobenius normalization `a / ‖a‖_F` (Equation 8's `Q̃`, `K̃`).
     /// A small epsilon keeps the all-zero matrix finite.
     pub fn frob_normalize(&mut self, a: NodeId) -> NodeId {
-        let norm = self.value(a).frob_norm().max(1e-12);
-        let v = self.value(a).map(|x| x / norm);
+        let mut v = self.value(a).clone();
+        let norm = v.frob_normalize_in_place();
         self.push(v, Op::FrobNormalize(a, norm))
     }
 
     /// Divides every row `i` of `x` by `d[i]` where `d` is `n × 1`
     /// (the `D⁻¹ [...]` of Equation 9).
     ///
-    /// Divisors are clamped to magnitude ≥ 1e-6 (sign preserved): the
-    /// paper's `D = 1 + (1/N)·Q̃(K̃ᵀ1)` is almost always ≈ 1, but for
-    /// degenerate inputs (e.g. a single node with anti-aligned query/key)
-    /// it can reach zero, and an unguarded division would poison the whole
-    /// forward pass with NaNs.
+    /// Divisors are clamped to magnitude ≥ 1e-6 (sign preserved), as in
+    /// [`Matrix::div_cols_in_place`].
     ///
     /// # Panics
     ///
     /// Panics if `d` is not `n × 1`.
     pub fn div_cols(&mut self, x: NodeId, d: NodeId) -> NodeId {
-        let (n, cols) = self.value(x).shape();
-        assert_eq!(self.value(d).shape(), (n, 1), "divisor must be n × 1");
         let mut v = self.value(x).clone();
-        for r in 0..n {
-            let dr = clamp_divisor(self.value(d).get(r, 0));
-            for c in 0..cols {
-                v.set(r, c, v.get(r, c) / dr);
-            }
-        }
+        v.div_cols_in_place(self.value(d));
         self.push(v, Op::DivCols(x, d))
     }
 
@@ -265,15 +240,12 @@ impl Tape {
     ///
     /// Panics if shapes are inconsistent (including `at` not matching `A`).
     pub fn spmm(&mut self, a: Rc<CsrMatrix>, at: Rc<CsrMatrix>, x: NodeId) -> NodeId {
-        let (n, d) = self.value(x).shape();
-        assert_eq!(a.cols(), n, "spmm dimension mismatch");
         assert_eq!(
             (at.rows(), at.cols()),
             (a.cols(), a.rows()),
             "at must be Aᵀ"
         );
-        let y = a.matmul_dense(self.value(x).as_slice(), d);
-        let v = Matrix::from_vec(a.rows(), d, y);
+        let v = Matrix::spmm(&a, self.value(x));
         self.push(v, Op::Spmm(at, x))
     }
 
@@ -412,7 +384,7 @@ impl Tape {
                 }
                 Op::BceWithLogits(z, target) => {
                     let zv = self.value(*z).get(0, 0);
-                    let sig = 1.0 / (1.0 + (-zv).exp());
+                    let sig = sigmoid(zv);
                     let dz = g.get(0, 0) * (sig - target);
                     accumulate(&mut grads, *z, Matrix::from_vec(1, 1, vec![dz]));
                 }
