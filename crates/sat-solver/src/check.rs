@@ -2,7 +2,8 @@
 //!
 //! [`Solver::audit_invariants`] cross-checks the solver's redundant data
 //! structures against each other — watch lists against the clause database,
-//! the trail against the assignment and level maps, the reason graph against
+//! the clause arena's headers against its counters, the trail against the
+//! per-literal values and the level map, the reason graph against
 //! the trail order, the frequency counters against the statistics — and
 //! reports the first violation found. It is always compiled, so fuzzers and
 //! property tests can call it directly on any build.
@@ -14,10 +15,12 @@
 //! The audit is O(database size) and intended for testing, fuzzing, and
 //! debugging — not for production solving.
 
+use crate::clause_db::{ClauseRef, HEADER};
 use crate::solver::{Checkpoint, Solver};
 use crate::varmap::{at, VarMap};
 use crate::LBool;
 use cnf::{Lit, Var};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// How aggressively the in-search auditor runs (see the `checks` feature).
@@ -114,8 +117,8 @@ impl Audit<'_> {
 
     /// Trail shape: `trail_lim` monotone and in bounds, `qhead` in bounds,
     /// every trail literal true, levels matching the `trail_lim` partition,
-    /// no variable assigned twice, and exactly the trail's variables
-    /// assigned.
+    /// no variable assigned twice, the two literal values of every
+    /// variable complementary, and exactly the trail's variables assigned.
     fn trail(&self) -> Result<(), CheckError> {
         let s = self.s;
         let mut prev = 0usize;
@@ -167,7 +170,20 @@ impl Audit<'_> {
                 );
             }
         }
-        let assigned = s.assigns.iter().filter(|a| a.is_assigned()).count();
+        let mut assigned = 0usize;
+        for v in (0..s.num_vars).map(Var::new) {
+            let (pos, neg) = (s.value(v.positive()), s.value(v.negative()));
+            if neg != !pos {
+                return self.fail(
+                    "lit-values-paired",
+                    format!(
+                        "variable {} has literal values {pos:?} / {neg:?}",
+                        v.index()
+                    ),
+                );
+            }
+            assigned += usize::from(pos.is_assigned());
+        }
         if assigned != s.trail.len() {
             return self.fail(
                 "assigns-match-trail",
@@ -190,7 +206,7 @@ impl Audit<'_> {
             position.set(l.var(), i);
         }
         for v in (0..s.num_vars).map(Var::new) {
-            if !s.assigns.get(v).is_assigned() {
+            if !s.var_value(v).is_assigned() {
                 if s.reason.get(v).is_some() {
                     return self.fail(
                         "reason-cleared-on-unassign",
@@ -262,6 +278,70 @@ impl Audit<'_> {
         Ok(())
     }
 
+    /// Clause-arena layout, checked before anything reads a clause through
+    /// a handle: walking the headers from word 0 covers the arena exactly,
+    /// the garbage clauses' words equal the waste counter that triggers
+    /// compaction, and every watch and reason names the header of a live
+    /// clause (not a garbage one, not the middle of a clause).
+    fn arena_layout(&self) -> Result<(), CheckError> {
+        let s = self.s;
+        let words = s.db.arena_words();
+        let mut live: HashSet<ClauseRef> = HashSet::new();
+        let mut garbage = 0usize;
+        let mut start = 0usize;
+        while start < words {
+            let header = s.db.header_at(start);
+            let next = header.map_or(usize::MAX, |(len, _)| start + HEADER + len);
+            let Some((len, is_garbage)) = header.filter(|&(len, _)| len >= 2 && next <= words)
+            else {
+                return self.fail(
+                    "arena-layout",
+                    format!(
+                        "header walk: clause at word {start} ({header:?}) overruns {words} words"
+                    ),
+                );
+            };
+            if is_garbage {
+                garbage += HEADER + len;
+            } else {
+                live.insert(ClauseRef::from_index(start));
+            }
+            start = next;
+        }
+        if garbage != s.db.wasted_words() {
+            return self.fail(
+                "arena-layout",
+                format!(
+                    "garbage clauses hold {garbage} words but the waste counter says {}",
+                    s.db.wasted_words()
+                ),
+            );
+        }
+        for (key, list) in s.watches.iter() {
+            if let Some(w) = list.iter().find(|w| !live.contains(&w.cref)) {
+                return self.fail(
+                    "arena-layout",
+                    format!(
+                        "watch list of {key} names {:?}, not a live clause header",
+                        w.cref
+                    ),
+                );
+            }
+        }
+        for v in (0..s.num_vars).map(Var::new) {
+            if let Some(r) = s.reason.get(v).filter(|r| !live.contains(r)) {
+                return self.fail(
+                    "arena-layout",
+                    format!(
+                        "reason of variable {} names {r:?}, not a live clause header",
+                        v.index()
+                    ),
+                );
+            }
+        }
+        Ok(())
+    }
+
     /// Watched-literal integrity: every watch entry references a live
     /// clause through one of its first two literals with an in-clause
     /// blocker, and every live clause is watched exactly through both.
@@ -270,12 +350,7 @@ impl Audit<'_> {
     /// from BCP).
     fn watches(&self) -> Result<(), CheckError> {
         let s = self.s;
-        let slots =
-            s.db.iter_refs()
-                .map(|c| c.index())
-                .max()
-                .map_or(0, |m| m + 1);
-        let mut watchers: Vec<Vec<Lit>> = vec![Vec::new(); slots];
+        let mut watchers: HashMap<ClauseRef, Vec<Lit>> = HashMap::new();
         for (key, list) in s.watches.iter() {
             let watched = !key;
             for w in list {
@@ -307,16 +382,14 @@ impl Audit<'_> {
                         format!("blocker {} of {:?} is not in the clause", w.blocker, w.cref),
                     );
                 }
-                if let Some(ws) = watchers.get_mut(w.cref.index()) {
-                    ws.push(watched);
-                }
+                watchers.entry(w.cref).or_default().push(watched);
             }
         }
         for cref in s.db.iter_refs() {
             let c = s.db.clause(cref);
             let mut expected = [c.lit(0), c.lit(1)];
             expected.sort_unstable_by_key(|l| l.code());
-            let mut got = watchers.get(cref.index()).cloned().unwrap_or_default();
+            let mut got = watchers.get(&cref).cloned().unwrap_or_default();
             got.sort_unstable_by_key(|l| l.code());
             if got != expected {
                 return self.fail(
@@ -364,7 +437,7 @@ impl Audit<'_> {
         for v in (0..s.num_vars).map(Var::new) {
             // Variables eliminated by inprocessing are dropped from the
             // heap at decision time and never re-inserted.
-            if !s.assigns.get(v).is_assigned() && !s.heap.contains(v) && !s.var_is_eliminated(v) {
+            if !s.var_value(v).is_assigned() && !s.heap.contains(v) && !s.var_is_eliminated(v) {
                 return self.fail(
                     "heap-holds-unassigned",
                     format!("unassigned variable {} missing from the heap", v.index()),
@@ -458,13 +531,13 @@ impl Audit<'_> {
         }
         for &cref in &learned {
             let c = s.db.clause(cref);
-            if c.glue == 0 || c.glue as usize > c.len() {
+            if c.glue() == 0 || c.glue() as usize > c.len() {
                 return self.fail(
                     "learned-glue-range",
                     format!(
                         "learned clause {cref:?} of length {} has glue {}",
                         c.len(),
-                        c.glue
+                        c.glue()
                     ),
                 );
             }
@@ -472,11 +545,11 @@ impl Audit<'_> {
         let mut imported = 0usize;
         for cref in s.db.iter_refs() {
             let c = s.db.clause(cref);
-            if !c.imported {
+            if !c.imported() {
                 continue;
             }
             imported += 1;
-            if !c.learned {
+            if !c.learned() {
                 return self.fail(
                     "imported-clauses-learned",
                     format!("imported clause {cref:?} is not marked learned"),
@@ -519,7 +592,7 @@ impl Audit<'_> {
             }
         }
         for (pivot, _) in eng.reconstruction_steps() {
-            if s.assigns.get(pivot.var()).is_assigned() {
+            if s.var_value(pivot.var()).is_assigned() {
                 return self.fail(
                     "inprocess-eliminated-unassigned",
                     format!(
@@ -552,6 +625,7 @@ impl Solver {
             checkpoint,
         };
         audit.trail()?;
+        audit.arena_layout()?;
         audit.reasons()?;
         audit.watches()?;
         audit.orderings()?;
@@ -652,14 +726,66 @@ mod tests {
         let mut s = solved_solver();
         let free = (0..s.num_vars)
             .map(cnf::Var::new)
-            .find(|&v| !s.assigns.get(v).is_assigned());
+            .find(|&v| !s.var_value(v).is_assigned());
         if let Some(v) = free {
-            s.assigns.set(v, crate::LBool::True);
+            s.vals.set(v.positive(), crate::LBool::True);
+            s.vals.set(v.negative(), crate::LBool::False);
             let err = s
                 .audit_invariants(Checkpoint::PostPropagate)
                 .expect_err("off-trail assignment must be detected");
             assert_eq!(err.invariant, "assigns-match-trail");
         }
+    }
+
+    #[test]
+    fn unpaired_literal_values_are_caught() {
+        let mut s = solved_solver();
+        // After a SAT verdict the solver is back at the root; a variable
+        // whose literals disagree breaks the single assignment store.
+        let v = cnf::Var::new(0);
+        let pos = s.value(v.positive());
+        s.vals.set(
+            v.negative(),
+            if pos == LBool::True {
+                LBool::True
+            } else {
+                LBool::False
+            },
+        );
+        let err = s
+            .audit_invariants(Checkpoint::PostBackjump)
+            .expect_err("unpaired literal values must be detected");
+        assert_eq!(err.invariant, "lit-values-paired");
+    }
+
+    #[test]
+    fn watched_garbage_clause_is_caught() {
+        let mut s = solved_solver();
+        // Delete a clause without detaching it: its watches now name a
+        // garbage header.
+        let cref = s.db.iter_refs().next().expect("live clause");
+        s.db.remove(cref);
+        let err = s
+            .audit_invariants(Checkpoint::PostReduce)
+            .expect_err("a watch on a garbage clause must be detected");
+        assert_eq!(err.invariant, "arena-layout");
+        assert!(err.detail.contains("watch list"), "{}", err.detail);
+    }
+
+    #[test]
+    fn reason_inside_a_clause_is_caught() {
+        let f = cnf::parse_dimacs_str("p cnf 3 3\n1 0\n-1 2 3 0\n-1 -2 0\n").expect("valid dimacs");
+        let mut s = Solver::from_cnf(&f);
+        // The root units x1 and ¬x2 leave (x2 ∨ x3) stored, and it
+        // propagates x3 at level 0.
+        let v = cnf::Var::new(2);
+        let r = s.reason.get(v).expect("x3 is propagated");
+        s.reason.set(v, Some(ClauseRef::from_index(r.index() + 1)));
+        let err = s
+            .audit_invariants(Checkpoint::PostPropagate)
+            .expect_err("a reason off a header must be detected");
+        assert_eq!(err.invariant, "arena-layout");
+        assert!(err.detail.contains("reason"), "{}", err.detail);
     }
 
     #[test]
@@ -717,5 +843,20 @@ mod tests {
         // The auditor panics on any violated invariant, so reaching a
         // verdict is the assertion.
         let _ = s.solve();
+    }
+
+    #[cfg(feature = "checks")]
+    #[test]
+    fn full_level_survives_arena_compaction() {
+        let f = crate::preprocess::tests_support::php(7, 6);
+        let mut s = Solver::from_cnf(&f);
+        s.set_check_level(CheckLevel::Full);
+        // Every checkpoint, including the PostReduce right after each
+        // compaction, audits the relocated watches and reasons.
+        assert!(s.solve().is_unsat());
+        assert!(
+            s.db.compactions() >= 1,
+            "the search must compact the arena at least once"
+        );
     }
 }

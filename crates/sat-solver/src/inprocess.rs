@@ -18,7 +18,10 @@
 //! round touches everything). Occurrence lists over the live clause
 //! database are rebuilt per round — they index `ClauseRef`s lazily, so a
 //! clause deleted mid-round is filtered by a liveness check on read
-//! rather than eagerly unlinked.
+//! rather than eagerly unlinked. A deleted clause stays in the arena as
+//! garbage until the solver compacts it, which happens only at the end of
+//! `reduce_db`, never during a round, so a stale handle always reads as
+//! dead and never as some newer clause.
 //!
 //! # DRAT soundness
 //!
@@ -642,8 +645,8 @@ impl Solver {
             return IpStatus::Done;
         }
         kept.retain(|&l| self.value(l) != LBool::False);
-        let was_learned = self.db.clause(old).learned;
-        let old_glue = self.db.clause(old).glue;
+        let was_learned = self.db.clause(old).learned();
+        let old_glue = self.db.clause(old).glue();
         match *kept.as_slice() {
             [] => self.ip_refute(),
             [unit] => {
@@ -668,7 +671,7 @@ impl Solver {
                 };
                 self.ip_log_add(&kept, glue.max(1));
                 self.ip_delete_clause(old);
-                let cref = self.db.add(kept.clone(), was_learned, glue);
+                let cref = self.db.add(&kept, was_learned, glue);
                 self.attach(cref);
                 occ.push(&kept, cref);
                 eng.touch_lits(&kept);
@@ -713,7 +716,7 @@ impl Solver {
                 // is re-examined next round (its variables are touched).
                 continue;
             }
-            let learned = self.db.clause(cref).learned;
+            let learned = self.db.clause(cref).learned();
             // Forward subsumption through the rarest literal's list,
             // capped so one pathologically frequent literal cannot eat
             // the round.
@@ -734,7 +737,7 @@ impl Solver {
                 // Deleting an irredundant clause is only sound when the
                 // subsumer is irredundant too (a learned subsumer may be
                 // deleted later by reduction, weakening the formula).
-                if learned && !d.learned {
+                if learned && !d.learned() {
                     continue;
                 }
                 if lits.len() <= d.len() && lits.iter().all(|l| d.lits().contains(l)) {
@@ -801,7 +804,7 @@ impl Solver {
             let v = Var::new((start + i) % self.num_vars);
             if !(full || touched.get(v))
                 || eng.is_eliminated(v)
-                || self.assigns.get(v).is_assigned()
+                || self.var_value(v).is_assigned()
                 || self.frozen.get(v)
                 || self.assumptions.iter().any(|a| a.var() == v)
             {
@@ -831,12 +834,12 @@ impl Solver {
             let pos_orig: Vec<ClauseRef> = pos
                 .iter()
                 .copied()
-                .filter(|&c| !self.db.clause(c).learned)
+                .filter(|&c| !self.db.clause(c).learned())
                 .collect();
             let neg_orig: Vec<ClauseRef> = neg
                 .iter()
                 .copied()
-                .filter(|&c| !self.db.clause(c).learned)
+                .filter(|&c| !self.db.clause(c).learned())
                 .collect();
             if pos_orig.len() > BVE_OCC_LIMIT || neg_orig.len() > BVE_OCC_LIMIT {
                 continue;
@@ -897,7 +900,7 @@ impl Solver {
                     [] => unreachable!("empty resolvents refute above"),
                     [unit] => units.push(unit),
                     _ => {
-                        let cref = self.db.add(r.clone(), false, 0);
+                        let cref = self.db.add(&r, false, 0);
                         self.attach(cref);
                         occ.push(&r, cref);
                         eng.touch_lits(&r);
@@ -964,11 +967,11 @@ impl Solver {
             .iter_learned()
             .filter(|&c| {
                 let cl = self.db.clause(c);
-                cl.glue <= VIVIFY_GLUE_LIMIT && cl.len() >= 3
+                cl.glue() <= VIVIFY_GLUE_LIMIT && cl.len() >= 3
             })
             .map(|c| {
                 let cl = self.db.clause(c);
-                (cl.glue, cl.len(), c)
+                (cl.glue(), cl.len(), c)
             })
             .collect();
         cands.sort_unstable();
@@ -977,8 +980,8 @@ impl Solver {
             if !budget.spend(64) {
                 return IpStatus::Abort;
             }
-            if !self.db.is_live(cref) || !self.db.clause(cref).learned {
-                continue; // slot reused since candidate collection
+            if !self.db.is_live(cref) {
+                continue; // deleted since candidate collection
             }
             match self.ip_vivify_one(eng, occ, cref, budget) {
                 IpStatus::Unsat => return IpStatus::Unsat,
@@ -998,7 +1001,7 @@ impl Solver {
     ) -> IpStatus {
         debug_assert_eq!(self.decision_level(), 0);
         let lits: Vec<Lit> = self.db.clause(cref).lits().to_vec();
-        let glue = self.db.clause(cref).glue;
+        let glue = self.db.clause(cref).glue();
         // Detach first so the clause cannot propagate against itself
         // while its own literals are probed.
         self.detach(cref);
@@ -1088,7 +1091,7 @@ impl Solver {
                     p.delete(&lits);
                 }
                 self.db.remove(cref);
-                let new_ref = self.db.add(kept.clone(), true, new_glue);
+                let new_ref = self.db.add(&kept, true, new_glue);
                 self.attach(new_ref);
                 occ.push(&kept, new_ref);
                 eng.touch_lits(&kept);

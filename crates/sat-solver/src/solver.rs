@@ -41,6 +41,9 @@ pub trait ClauseExchange: Send {
 }
 
 /// One entry in a literal's watch list.
+///
+/// `cref` is the clause's arena offset; compaction rewrites it in place,
+/// so a watch list keeps its order across compactions.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Watch {
     pub(crate) cref: ClauseRef,
@@ -74,9 +77,13 @@ pub struct Solver {
     pub(crate) num_vars: u32,
     pub(crate) db: ClauseDb,
     /// `watches.get(l)` holds clauses with `!l` among their first two
-    /// literals.
+    /// literals, in attach order. Binary clauses are watched like any
+    /// other clause (see DESIGN.md, "Clause store").
     pub(crate) watches: LitMap<Vec<Watch>>,
-    pub(crate) assigns: VarMap<LBool>,
+    /// The assignment, one value per literal: `assign` and `backtrack`
+    /// write both polarities, so `value(l)` is one load. Variable-level
+    /// readers use the positive literal ([`Solver::var_value`]).
+    pub(crate) vals: LitMap<LBool>,
     pub(crate) level: VarMap<u32>,
     pub(crate) reason: VarMap<Option<ClauseRef>>,
     pub(crate) trail: Vec<Lit>,
@@ -113,6 +120,8 @@ pub struct Solver {
     min_stack: Vec<Lit>,
     min_visited: Vec<Var>,
     glue_levels: Vec<u32>,
+    /// Scratch for root-level clause normalization on load and import.
+    clause_buf: Vec<Lit>,
     pub(crate) proof: Option<ProofLogger>,
     observer: Option<Box<dyn SearchObserver>>,
     /// Opt-in instrumentation; `None` (the default) costs one branch per
@@ -145,9 +154,12 @@ impl Solver {
         let n = formula.num_vars();
         let mut solver = Solver {
             num_vars: n,
-            db: ClauseDb::new(),
+            db: ClauseDb::with_capacity(ClauseDb::words_for(
+                formula.num_clauses(),
+                formula.num_lits(),
+            )),
             watches: LitMap::new(n, Vec::new()),
-            assigns: VarMap::new(n, LBool::Undef),
+            vals: LitMap::new(n, LBool::Undef),
             level: VarMap::new(n, 0),
             reason: VarMap::new(n, None),
             trail: Vec::with_capacity(n as usize),
@@ -176,6 +188,7 @@ impl Solver {
             min_stack: Vec::new(),
             min_visited: Vec::new(),
             glue_levels: Vec::new(),
+            clause_buf: Vec::new(),
             proof: None,
             observer: None,
             telemetry: None,
@@ -296,7 +309,7 @@ impl Solver {
     /// database plus per-variable state and watch lists. O(1), computed
     /// from maintained counters; used by [`Budget::max_memory_bytes`].
     pub fn approx_memory_bytes(&self) -> u64 {
-        // Per-variable state: assigns + level + reason + activity + phase
+        // Per-variable state: two literal values + level + reason + activity + phase
         // + seen + heap slot + VMTF node + two frequency counters, plus
         // two watch-list headers per variable. ~128 bytes covers it.
         const PER_VAR: u64 = 128;
@@ -432,7 +445,7 @@ impl Solver {
         let mut glue_histogram = [0usize; 8];
         let last_bucket = glue_histogram.len() - 1;
         for cref in self.db.iter_learned() {
-            let g = self.db.clause(cref).glue as usize;
+            let g = self.db.clause(cref).glue() as usize;
             if let Some(bucket) = glue_histogram.get_mut(g.min(last_bucket)) {
                 *bucket += 1;
             }
@@ -450,24 +463,40 @@ impl Solver {
     /// became unsatisfiable at the top level.
     fn add_input_clause(&mut self, lits: &[Lit]) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
-        // Normalize: drop duplicate and false-at-level-0 literals, detect
-        // tautologies and satisfied clauses.
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
+        // Normalize in the reused scratch buffer, so loading a formula
+        // allocates nothing per clause.
+        let mut c = std::mem::take(&mut self.clause_buf);
+        let ok = !self.normalize_root(lits, &mut c) || self.add_normalized_input(&c);
+        self.clause_buf = c;
+        ok
+    }
+
+    /// Normalizes `lits` against the root-level assignment into `out`,
+    /// dropping duplicate and false literals. Returns `false` when the
+    /// clause is satisfied at level 0 or a tautology: nothing to add.
+    fn normalize_root(&self, lits: &[Lit], out: &mut Vec<Lit>) -> bool {
+        out.clear();
         for &l in lits {
             debug_assert!(l.var().index() < self.num_vars);
             match self.value(l) {
-                LBool::True => return true, // satisfied at level 0
-                LBool::False => continue,   // falsified at level 0: drop
+                LBool::True => return false,
+                LBool::False => continue,
                 LBool::Undef => {}
             }
-            if c.contains(&!l) {
-                return true; // tautology
+            if out.contains(&!l) {
+                return false;
             }
-            if !c.contains(&l) {
-                c.push(l);
+            if !out.contains(&l) {
+                out.push(l);
             }
         }
-        match *c.as_slice() {
+        true
+    }
+
+    /// Stores a root-normalized input clause: refutes on empty, asserts
+    /// and propagates a unit, attaches anything longer.
+    fn add_normalized_input(&mut self, c: &[Lit]) -> bool {
+        match *c {
             [] => {
                 self.ok = false;
                 if let Some(p) = &mut self.proof {
@@ -536,28 +565,23 @@ impl Solver {
             // inprocessing; re-attaching it would resurrect the variable.
             return;
         }
-        let mut c: Vec<Lit> = Vec::with_capacity(lits.len());
-        for &l in lits {
-            if l.var().index() >= self.num_vars {
-                // A producer exported garbage (corrupt or foreign clause).
-                // Soundness only depends on what we *add*, so the clause is
-                // dropped and counted rather than trusted or asserted on.
-                self.rejected_imports += 1;
-                return;
-            }
-            match self.value(l) {
-                LBool::True => return, // satisfied at level 0
-                LBool::False => continue,
-                LBool::Undef => {}
-            }
-            if c.contains(&!l) {
-                return; // tautology
-            }
-            if !c.contains(&l) {
-                c.push(l);
-            }
+        if lits.iter().any(|l| l.var().index() >= self.num_vars) {
+            // A producer exported garbage (corrupt or foreign clause).
+            // Soundness only depends on what we *add*, so the clause is
+            // dropped and counted rather than trusted or asserted on.
+            self.rejected_imports += 1;
+            return;
         }
-        match *c.as_slice() {
+        let mut c = std::mem::take(&mut self.clause_buf);
+        if self.normalize_root(lits, &mut c) {
+            self.add_normalized_import(&c, glue);
+        }
+        self.clause_buf = c;
+    }
+
+    /// Stores a root-normalized imported clause.
+    fn add_normalized_import(&mut self, c: &[Lit], glue: u32) {
+        match *c {
             [] => {
                 // Every literal is false at the root: the shared clause
                 // refutes the formula outright.
@@ -583,7 +607,13 @@ impl Solver {
 
     #[inline]
     pub(crate) fn value(&self, l: Lit) -> LBool {
-        self.assigns.get(l.var()).xor(l.is_negated())
+        *self.vals.get(l)
+    }
+
+    /// The value of variable `v` (the value of its positive literal).
+    #[inline]
+    pub(crate) fn var_value(&self, v: Var) -> LBool {
+        self.value(v.positive())
     }
 
     #[inline]
@@ -622,7 +652,8 @@ impl Solver {
     pub(crate) fn assign(&mut self, l: Lit, reason: Option<ClauseRef>) {
         debug_assert_eq!(self.value(l), LBool::Undef);
         let v = l.var();
-        self.assigns.set(v, LBool::from(l.is_positive()));
+        self.vals.set(l, LBool::True);
+        self.vals.set(!l, LBool::False);
         self.level.set(v, self.decision_level());
         self.reason.set(v, reason);
         // xtask: allow(hot-path-purity) amortized: the trail retains its capacity across backtracks
@@ -645,25 +676,32 @@ impl Solver {
             // borrowable; propagation never pushes onto this same list
             // (the replacement watch literal is non-false, `!p` is false).
             let mut ws = std::mem::take(self.watches.get_mut(p));
+            let false_lit = !p;
             let mut conflict = None;
             let mut i = 0;
             'watches: while i < ws.len() {
                 let Watch { cref, blocker } = at(&ws, i);
-                if self.value(blocker) == LBool::True {
+                if *self.vals.get(blocker) == LBool::True {
                     i += 1;
                     continue;
                 }
-                let false_lit = !p;
-                {
-                    let c = self.db.clause_mut(cref);
-                    // Ensure the false literal is at position 1.
-                    if c.lit(0) == false_lit {
-                        c.swap_lits(0, 1);
+                // One borrow of the clause's literals serves the whole
+                // visit; `vals` and `watches` are disjoint fields.
+                let (l0, l1, rest) = match self.db.lits_mut(cref) {
+                    [l0, l1, rest @ ..] => (l0, l1, rest),
+                    _ => {
+                        debug_assert!(false, "stored clauses have >= 2 literals");
+                        i += 1;
+                        continue;
                     }
-                    debug_assert_eq!(c.lit(1), false_lit);
+                };
+                // Ensure the false literal is at position 1.
+                if *l0 == false_lit {
+                    std::mem::swap(l0, l1);
                 }
-                let first = self.db.clause(cref).lit(0);
-                if first != blocker && self.value(first) == LBool::True {
+                debug_assert_eq!(*l1, false_lit);
+                let first = *l0;
+                if first != blocker && *self.vals.get(first) == LBool::True {
                     // Clause already satisfied; refresh blocker.
                     if let Some(w) = ws.get_mut(i) {
                         w.blocker = first;
@@ -672,22 +710,22 @@ impl Solver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.db.clause(cref).len();
-                for k in 2..len {
-                    let lk = self.db.clause(cref).lit(k);
-                    if self.value(lk) != LBool::False {
-                        self.db.clause_mut(cref).swap_lits(1, k);
-                        ws.swap_remove(i);
-                        // xtask: allow(hot-path-purity) amortized: watch lists retain capacity; relocation is a swap between them
-                        self.watches.get_mut(!lk).push(Watch {
-                            cref,
-                            blocker: first,
-                        });
-                        continue 'watches;
-                    }
+                if let Some(lk) = rest
+                    .iter_mut()
+                    .find(|lk| *self.vals.get(**lk) != LBool::False)
+                {
+                    std::mem::swap(l1, lk);
+                    let watched = *l1;
+                    ws.swap_remove(i);
+                    // xtask: allow(hot-path-purity) amortized: watch lists retain capacity; relocation is a swap between them
+                    self.watches.get_mut(!watched).push(Watch {
+                        cref,
+                        blocker: first,
+                    });
+                    continue 'watches;
                 }
                 // No new watch: clause is unit or conflicting.
-                if self.value(first) == LBool::False {
+                if *self.vals.get(first) == LBool::False {
                     conflict = Some(cref); // conflict; qhead stays put
                     break;
                 }
@@ -719,13 +757,13 @@ impl Solver {
         let uip = loop {
             self.bump_clause(cref);
             #[cfg(feature = "trace")]
-            if self.db.clause(cref).imported {
+            if self.db.clause(cref).imported() {
                 // First conflict-side use of a clause imported from another
                 // worker; pairing it with the preceding "clause-import"
                 // instant on this lane gives the import-to-use latency.
                 telemetry::trace::instant_with(
                     "import-use",
-                    &[("glue", u64::from(self.db.clause(cref).glue))],
+                    &[("glue", u64::from(self.db.clause(cref).glue()))],
                 );
             }
             // Iterate the clause's literals; skip the resolved literal,
@@ -733,7 +771,7 @@ impl Solver {
             let clen = self.db.clause(cref).len();
             let start = usize::from(resolved.is_some());
             for k in start..clen {
-                let q = self.db.clause(cref).lit(k);
+                let q = self.db.lit(cref, k);
                 let v = q.var();
                 if !self.seen.get(v) && self.level.get(v) > 0 {
                     self.seen.set(v, true);
@@ -867,7 +905,7 @@ impl Solver {
             };
             let rlen = self.db.clause(r).len();
             for k in 1..rlen {
-                let a = self.db.clause(r).lit(k);
+                let a = self.db.lit(r, k);
                 let v = a.var();
                 if self.seen.get(v) || self.level.get(v) == 0 {
                     continue;
@@ -917,13 +955,10 @@ impl Solver {
     }
 
     fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = self.db.clause_mut(cref);
-        if !c.learned {
+        if !self.db.clause(cref).learned() {
             return;
         }
-        c.activity += self.cla_inc;
-        c.protected = true;
-        if c.activity > 1e20 {
+        if self.db.bump_activity(cref, self.cla_inc) > 1e20 {
             self.db.rescale_activity(1e-20);
             self.cla_inc *= 1e-20;
         }
@@ -944,7 +979,8 @@ impl Solver {
             let l = at(&self.trail, idx);
             let v = l.var();
             self.saved_phase.set(v, l.is_positive());
-            self.assigns.set(v, LBool::Undef);
+            self.vals.set(l, LBool::Undef);
+            self.vals.set(!l, LBool::Undef);
             self.reason.set(v, None);
             self.heap.insert(v, &self.activity);
         }
@@ -960,7 +996,7 @@ impl Solver {
             Branching::Evsids => {
                 let mut picked = None;
                 while let Some(v) = self.heap.pop(&self.activity) {
-                    if !self.assigns.get(v).is_assigned() && !self.var_is_eliminated(v) {
+                    if !self.var_value(v).is_assigned() && !self.var_is_eliminated(v) {
                         picked = Some(v);
                         break;
                     }
@@ -968,10 +1004,11 @@ impl Solver {
                 picked
             }
             Branching::Vmtf => {
-                let assigns = &self.assigns;
+                let vals = &self.vals;
                 let inprocess = self.inprocess.as_deref();
                 self.vmtf.next_unassigned(|v| {
-                    !assigns.get(v).is_assigned() && !inprocess.is_some_and(|e| e.is_eliminated(v))
+                    !vals.get(v.positive()).is_assigned()
+                        && !inprocess.is_some_and(|e| e.is_eliminated(v))
                 })
             }
             Branching::Random => self.pick_random_unassigned(),
@@ -993,13 +1030,13 @@ impl Solver {
             self.rng_state ^= self.rng_state >> 27;
             let r = (self.rng_state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32;
             let v = Var::new(r % self.num_vars);
-            if !self.assigns.get(v).is_assigned() && !self.var_is_eliminated(v) {
+            if !self.var_value(v).is_assigned() && !self.var_is_eliminated(v) {
                 return Some(v);
             }
         }
         (0..self.num_vars)
             .map(Var::new)
-            .find(|&v| !self.assigns.get(v).is_assigned() && !self.var_is_eliminated(v))
+            .find(|&v| !self.var_value(v).is_assigned() && !self.var_is_eliminated(v))
     }
 
     /// Deletes low-scoring reducible learned clauses (the REDUCE step whose
@@ -1011,26 +1048,29 @@ impl Solver {
         self.stats.reductions += 1;
         #[cfg(feature = "trace")]
         let score_span = telemetry::trace::span("reduce-score");
-        let mut candidates: Vec<(u64, ClauseRef)> = Vec::new();
-        for cref in self.db.iter_learned().collect::<Vec<_>>() {
+        let mut candidates: Vec<(u64, u32, ClauseRef)> = Vec::new();
+        for cref in self.db.iter_learned() {
             let c = self.db.clause(cref);
-            if c.glue <= self.config.tier1_glue || c.protected || self.is_reason(cref) {
+            if c.glue() <= self.config.tier1_glue || c.protected() || self.is_reason(cref) {
                 continue;
             }
             let score = self.policy.score(&ClauseScoreCtx {
                 lits: c.lits(),
-                glue: c.glue,
-                activity: c.activity,
+                glue: c.glue(),
+                activity: c.activity(),
                 freq: &self.freq,
             });
-            candidates.push((score, cref));
+            candidates.push((score, c.slot(), cref));
         }
-        // Lowest scores first; ties broken by clause slot for determinism.
+        // Lowest scores first; ties broken by slot id for determinism.
+        // Slot ids come from the LIFO free list the clause slab used, so
+        // the deletion order (and the search) does not depend on where a
+        // clause sits in the arena.
         candidates.sort_unstable();
         #[cfg(feature = "trace")]
         drop(score_span);
         let delete_count = (candidates.len() as f64 * self.config.reduce_fraction).floor() as usize;
-        for &(_, cref) in candidates.iter().take(delete_count) {
+        for &(_, _, cref) in candidates.iter().take(delete_count) {
             if let Some(p) = &mut self.proof {
                 p.delete(self.db.clause(cref).lits());
             }
@@ -1039,8 +1079,9 @@ impl Solver {
             self.stats.deleted_clauses += 1;
         }
         // Unprotect survivors so protection reflects recent use only.
-        for cref in self.db.iter_learned().collect::<Vec<_>>() {
-            self.db.clause_mut(cref).protected = false;
+        self.db.unprotect_all();
+        if self.db.needs_compaction() {
+            self.compact_db();
         }
         if let Some(obs) = &mut self.observer {
             obs.on_reduction(self.stats.reductions, delete_count, candidates.len());
@@ -1065,9 +1106,29 @@ impl Solver {
         self.checkpoint(Checkpoint::PostReduce);
     }
 
+    /// Compacts the clause arena and rewrites every handle the solver
+    /// holds: watch entries in place (so no watch list changes order) and
+    /// the reasons of assigned variables. Runs only at the end of
+    /// `reduce_db`, never inside an inprocessing round, so no occurrence
+    /// list can hold a stale handle.
+    fn compact_db(&mut self) {
+        let moved = self.db.compact();
+        for ws in self.watches.values_mut() {
+            for w in ws {
+                w.cref = moved.map(w.cref);
+            }
+        }
+        for &l in &self.trail {
+            let reason = self.reason.get_mut(l.var());
+            if let Some(r) = *reason {
+                *reason = Some(moved.map(r));
+            }
+        }
+    }
+
     /// Whether the clause is the reason of some current assignment.
     fn is_reason(&self, cref: ClauseRef) -> bool {
-        let first = self.db.clause(cref).lit(0);
+        let first = self.db.lit(cref, 0);
         self.value(first) == LBool::True && self.reason.get(first.var()) == Some(cref)
     }
 
@@ -1269,7 +1330,7 @@ impl Solver {
                         // Level-0 unit: re-propagation happens at loop top.
                     }
                     [first, ..] => {
-                        let cref = self.db.add(learned.clone(), true, glue);
+                        let cref = self.db.add(&learned, true, glue);
                         self.attach(cref);
                         self.bump_clause(cref);
                         self.assign(first, Some(cref));
@@ -1494,7 +1555,7 @@ impl Solver {
                 Some(r) => {
                     let len = self.db.clause(r).len();
                     for k in 1..len {
-                        let l = self.db.clause(r).lit(k);
+                        let l = self.db.lit(r, k);
                         if self.level.get(l.var()) > 0 {
                             self.seen.set(l.var(), true);
                         }
@@ -1534,8 +1595,7 @@ impl Solver {
         let mut model: Vec<bool> = (0..self.num_vars)
             .map(Var::new)
             .map(|v| {
-                self.assigns
-                    .get(v)
+                self.var_value(v)
                     .to_bool()
                     // Unconstrained variables default to the saved phase.
                     .unwrap_or(self.saved_phase.get(v))

@@ -81,11 +81,6 @@ impl<T> VarMap<T> {
         *self.get_mut(v) = value;
     }
 
-    /// Iterates the values in variable-index order.
-    pub fn iter(&self) -> std::slice::Iter<'_, T> {
-        self.data.iter()
-    }
-
     /// Mutably iterates the values in variable-index order.
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
         self.data.iter_mut()
@@ -94,8 +89,10 @@ impl<T> VarMap<T> {
 
 /// Dense map from [`Lit`] to `T`, keyed by the literal's code.
 ///
-/// Used for the watch lists: `watches.get(l)` holds the watchers of `l`
-/// (clauses with `!l` among their first two literals).
+/// Used for the watch lists (`watches.get(l)` holds the watchers of `l`,
+/// clauses with `!l` among their first two literals) and for the
+/// assignment, which keeps one value per literal so reading a literal's
+/// value is one load with no polarity flip.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LitMap<T> {
     data: Vec<T>,
@@ -113,7 +110,6 @@ impl<T> LitMap<T> {
     }
 
     /// A shared reference to the value at `l`.
-    #[cfg(test)]
     #[inline]
     pub fn get(&self, l: Lit) -> &T {
         let i = l.code() as usize;
@@ -129,12 +125,23 @@ impl<T> LitMap<T> {
         &mut self.data[i] // xtask: allow(no-index) audited Lit-keyed access
     }
 
+    /// Overwrites the value at `l`.
+    #[inline]
+    pub fn set(&mut self, l: Lit, value: T) {
+        *self.get_mut(l) = value;
+    }
+
     /// Iterates `(literal, value)` pairs in literal-code order.
     pub fn iter(&self) -> impl Iterator<Item = (Lit, &T)> {
         self.data
             .iter()
             .enumerate()
             .map(|(code, t)| (Lit::from_code(code as u32), t))
+    }
+
+    /// Mutably iterates the values in literal-code order.
+    pub fn values_mut(&mut self) -> std::slice::IterMut<'_, T> {
+        self.data.iter_mut()
     }
 }
 
@@ -151,7 +158,6 @@ mod tests {
         *m.get_mut(Var::new(2)) += 5;
         assert_eq!(m.get(Var::new(2)), 5);
         assert_eq!(m.len(), 3);
-        assert_eq!(m.iter().copied().collect::<Vec<_>>(), vec![0, 7, 5]);
     }
 
     #[test]
