@@ -79,16 +79,12 @@ impl GinModel {
         let mut hc = tape.leaf(Matrix::zeros(g.num_clauses.max(1), d));
         for round in 0..self.config.rounds {
             // clause update: (1+ε)h_c + Σ_v h_v
-            let agg_c = tape.spmm(
-                Rc::clone(&g.sum_to_clause),
-                Rc::clone(&g.sum_to_clause_t),
-                hv,
-            );
+            let agg_c = tape.spmm(Rc::clone(&g.sum_to_clause), hv);
             let hc_scaled = tape.scale(hc, 1.0 + self.eps);
             let hc_in = tape.add(hc_scaled, agg_c);
             hc = self.clause_mlps[round].forward(tape, sess, store, hc_in);
             // variable update
-            let agg_v = tape.spmm(Rc::clone(&g.sum_to_var), Rc::clone(&g.sum_to_var_t), hc);
+            let agg_v = tape.spmm(Rc::clone(&g.sum_to_var), hc);
             let hv_scaled = tape.scale(hv, 1.0 + self.eps);
             let hv_in = tape.add(hv_scaled, agg_v);
             hv = self.var_mlps[round].forward(tape, sess, store, hv_in);
@@ -165,12 +161,12 @@ impl NeuroSatModel {
         let mut hl = tape.leaf(Matrix::full(num_lits, d, 1.0));
         for _ in 0..self.config.rounds {
             // clauses aggregate literal states
-            let agg_c = tape.spmm(Rc::clone(&g.to_clause), Rc::clone(&g.to_clause_t), hl);
+            let agg_c = tape.spmm(Rc::clone(&g.to_clause), hl);
             let hc_lin = self.clause_update.forward(tape, sess, store, agg_c);
             let hc = tape.relu(hc_lin);
             // literals aggregate clause states plus their negation's state
-            let agg_l = tape.spmm(Rc::clone(&g.to_lit), Rc::clone(&g.to_lit_t), hc);
-            let flipped = tape.spmm(Rc::clone(&g.flip), Rc::clone(&g.flip), hl);
+            let agg_l = tape.spmm(Rc::clone(&g.to_lit), hc);
+            let flipped = tape.spmm(Rc::clone(&g.flip), hl);
             let flip_lin = self.lit_flip.forward(tape, sess, store, flipped);
             let gate_lin = self.lit_gate.forward(tape, sess, store, agg_l);
             let z = tape.sigmoid(gate_lin);

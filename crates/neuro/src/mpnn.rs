@@ -20,6 +20,9 @@ fn padded(m: &CsrMatrix, rows: usize, cols: usize) -> Cow<'_, CsrMatrix> {
 /// Cached sparse operators for one bipartite variable–clause graph, shared
 /// across layers and passes.
 ///
+/// Only forward operators are stored: the tape's backward pass multiplies
+/// by their transposes with [`CsrMatrix::matmul_dense_t`].
+///
 /// The models give an empty node set (a formula with no clauses or no
 /// variables) one all-zero feature row, so every operator counts at least
 /// one row and one column on each side to match.
@@ -31,20 +34,12 @@ pub struct GraphTensors {
     pub num_clauses: usize,
     /// Mean-normalized signed aggregation into clause nodes (`C × V`).
     pub to_clause: Rc<CsrMatrix>,
-    /// Transpose of [`to_clause`](Self::to_clause).
-    pub to_clause_t: Rc<CsrMatrix>,
     /// Mean-normalized signed aggregation into variable nodes (`V × C`).
     pub to_var: Rc<CsrMatrix>,
-    /// Transpose of [`to_var`](Self::to_var).
-    pub to_var_t: Rc<CsrMatrix>,
     /// Unnormalized |weight| aggregation into clause nodes (GIN baseline).
     pub sum_to_clause: Rc<CsrMatrix>,
-    /// Transpose of [`sum_to_clause`](Self::sum_to_clause).
-    pub sum_to_clause_t: Rc<CsrMatrix>,
     /// Unnormalized |weight| aggregation into variable nodes (GIN baseline).
     pub sum_to_var: Rc<CsrMatrix>,
-    /// Transpose of [`sum_to_var`](Self::sum_to_var).
-    pub sum_to_var_t: Rc<CsrMatrix>,
     /// Per-variable `(log-degree, positive-occurrence fraction)`.
     pub var_structure: Vec<(f32, f32)>,
     /// Per-clause `(log-length, positive-literal fraction)`.
@@ -57,16 +52,6 @@ impl GraphTensors {
         let (nv, nc) = (graph.num_vars.max(1), graph.num_clauses.max(1));
         let clause_to_var = padded(&graph.clause_to_var, nc, nv);
         let var_to_clause = padded(&graph.var_to_clause, nv, nc);
-        let to_clause = Rc::new(clause_to_var.row_normalized());
-        let to_var = Rc::new(var_to_clause.row_normalized());
-        let abs = |m: &CsrMatrix| -> CsrMatrix {
-            let triplets: Vec<(u32, u32, f32)> = (0..m.rows())
-                .flat_map(|r| m.row(r).iter().map(move |&(c, w)| (r as u32, c, w.abs())))
-                .collect();
-            CsrMatrix::from_triplets(m.rows(), m.cols(), &triplets)
-        };
-        let sum_to_clause = Rc::new(abs(&clause_to_var));
-        let sum_to_var = Rc::new(abs(&var_to_clause));
         let structure = |m: &CsrMatrix| -> Vec<(f32, f32)> {
             (0..m.rows())
                 .map(|r| {
@@ -82,14 +67,10 @@ impl GraphTensors {
             clause_structure: structure(&graph.clause_to_var),
             num_vars: graph.num_vars,
             num_clauses: graph.num_clauses,
-            to_clause_t: Rc::new(to_clause.transpose()),
-            to_var_t: Rc::new(to_var.transpose()),
-            sum_to_clause_t: Rc::new(sum_to_clause.transpose()),
-            sum_to_var_t: Rc::new(sum_to_var.transpose()),
-            to_clause,
-            to_var,
-            sum_to_clause,
-            sum_to_var,
+            to_clause: Rc::new(clause_to_var.row_normalized()),
+            to_var: Rc::new(var_to_clause.row_normalized()),
+            sum_to_clause: Rc::new(clause_to_var.map_weights(f32::abs)),
+            sum_to_var: Rc::new(var_to_clause.map_weights(f32::abs)),
         }
     }
 }
@@ -136,7 +117,7 @@ impl BipartiteMpnn {
     ) -> (NodeId, NodeId) {
         // Equation (6) for clauses: m_c = mean_{v ∈ c} w_vc · W(h_v)
         let hv_msg = self.msg_from_var.forward(tape, sess, store, x_var);
-        let m_c = tape.spmm(Rc::clone(&g.to_clause), Rc::clone(&g.to_clause_t), hv_msg);
+        let m_c = tape.spmm(Rc::clone(&g.to_clause), hv_msg);
         // Equation (7): h_c' = σ(W(m_c + W(h_c)))
         let hc_self = self.self_clause.forward(tape, sess, store, x_clause);
         let hc_sum = tape.add(m_c, hc_self);
@@ -145,7 +126,7 @@ impl BipartiteMpnn {
 
         // The symmetric update for variables, using fresh clause features.
         let hc_msg = self.msg_from_clause.forward(tape, sess, store, h_clause);
-        let m_v = tape.spmm(Rc::clone(&g.to_var), Rc::clone(&g.to_var_t), hc_msg);
+        let m_v = tape.spmm(Rc::clone(&g.to_var), hc_msg);
         let hv_self = self.self_var.forward(tape, sess, store, x_var);
         let hv_sum = tape.add(m_v, hv_self);
         let hv_out = self.out_var.forward(tape, sess, store, hv_sum);
@@ -188,12 +169,8 @@ pub struct LcgTensors {
     pub num_clauses: usize,
     /// Aggregation into clauses (`C × 2V`, mean-normalized).
     pub to_clause: Rc<CsrMatrix>,
-    /// Transpose of [`to_clause`](Self::to_clause).
-    pub to_clause_t: Rc<CsrMatrix>,
     /// Aggregation into literals (`2V × C`, mean-normalized).
     pub to_lit: Rc<CsrMatrix>,
-    /// Transpose of [`to_lit`](Self::to_lit).
-    pub to_lit_t: Rc<CsrMatrix>,
     /// The literal-flip permutation (`2V × 2V`), its own transpose.
     pub flip: Rc<CsrMatrix>,
 }
@@ -201,18 +178,14 @@ pub struct LcgTensors {
 impl LcgTensors {
     /// Precomputes the aggregation operators for a literal–clause graph.
     pub fn new(graph: &LiteralClauseGraph) -> Self {
-        let to_clause = Rc::new(graph.clause_to_lit.row_normalized());
-        let to_lit = Rc::new(graph.lit_to_clause.row_normalized());
         let n = 2 * graph.num_vars;
         let flip_triplets: Vec<(u32, u32, f32)> = (0..n as u32).map(|i| (i, i ^ 1, 1.0)).collect();
         let flip = Rc::new(CsrMatrix::from_triplets(n, n, &flip_triplets));
         LcgTensors {
             num_vars: graph.num_vars,
             num_clauses: graph.num_clauses,
-            to_clause_t: Rc::new(to_clause.transpose()),
-            to_lit_t: Rc::new(to_lit.transpose()),
-            to_clause,
-            to_lit,
+            to_clause: Rc::new(graph.clause_to_lit.row_normalized()),
+            to_lit: Rc::new(graph.lit_to_clause.row_normalized()),
             flip,
         }
     }
@@ -234,7 +207,6 @@ mod tests {
         assert_eq!(g.to_clause.rows(), 2);
         assert_eq!(g.to_clause.cols(), 3);
         assert_eq!(g.to_var.rows(), 3);
-        assert_eq!(g.to_clause_t.rows(), 3);
         assert_eq!(g.sum_to_var.rows(), 3);
     }
 

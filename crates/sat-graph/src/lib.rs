@@ -15,7 +15,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use cnf::Cnf;
+use cnf::{Cnf, Lit};
 
 /// A sparse matrix in compressed-sparse-row form, used as a constant
 /// (non-differentiable) operator inside neural layers.
@@ -40,31 +40,55 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Builds a CSR matrix from `(row, col, weight)` triplets.
     ///
+    /// A counting sort: count the entries of each row, prefix-sum the
+    /// counts into offsets, then scatter. Within a row, entries keep their
+    /// triplet order.
+    ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(u32, u32, f32)]) -> Self {
-        let mut per_row: Vec<Vec<(u32, f32)>> = vec![Vec::new(); rows];
-        for &(r, c, w) in triplets {
+        let mut counts = vec![0usize; rows];
+        for &(r, c, _) in triplets {
             assert!(
                 (r as usize) < rows && (c as usize) < cols,
                 "index out of bounds"
             );
-            per_row[r as usize].push((c, w));
+            counts[r as usize] += 1;
         }
-        let mut offsets = Vec::with_capacity(rows + 1);
-        let mut entries = Vec::with_capacity(triplets.len());
+        let mut m = CsrMatrix::with_row_counts(cols, &mut counts);
+        for &(r, c, w) in triplets {
+            m.scatter(&mut counts, r, (c, w));
+        }
+        m
+    }
+
+    /// An all-zero matrix whose row `r` has room for `counts[r]` entries;
+    /// `counts` is turned into each row's start, the cursor of
+    /// [`scatter`](Self::scatter).
+    fn with_row_counts(cols: usize, counts: &mut [usize]) -> Self {
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut end = 0;
         offsets.push(0);
-        for row in per_row {
-            entries.extend(row);
-            offsets.push(entries.len());
+        for count in counts.iter_mut() {
+            let start = end;
+            end += *count;
+            *count = start;
+            offsets.push(end);
         }
         CsrMatrix {
-            rows,
+            rows: counts.len(),
             cols,
             offsets,
-            entries,
+            entries: vec![(0, 0.0); end],
         }
+    }
+
+    /// Writes `entry` at row `r`'s cursor and advances it.
+    fn scatter(&mut self, cursors: &mut [usize], r: u32, entry: (u32, f32)) {
+        let at = &mut cursors[r as usize];
+        self.entries[*at] = entry;
+        *at += 1;
     }
 
     /// Number of rows.
@@ -108,12 +132,57 @@ impl CsrMatrix {
         y
     }
 
-    /// The transpose, as a new CSR matrix.
+    /// Dense `y = selfᵀ · x` where `x` is row-major `rows × d`;
+    /// returns row-major `cols × d`.
+    ///
+    /// A row scatter that needs no transpose. Each output row sums its
+    /// terms in ascending source-row order, the order in which
+    /// `self.transpose().matmul_dense(x, d)` sums them, so the two agree
+    /// bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows * d`.
+    pub fn matmul_dense_t(&self, x: &[f32], d: usize) -> Vec<f32> {
+        assert_eq!(x.len(), self.rows * d, "dimension mismatch");
+        let mut y = vec![0.0f32; self.cols * d];
+        for r in 0..self.rows {
+            let xr = &x[r * d..(r + 1) * d];
+            for &(c, w) in self.row(r) {
+                let out = &mut y[c as usize * d..(c as usize + 1) * d];
+                for (o, xi) in out.iter_mut().zip(xr) {
+                    *o += w * xi;
+                }
+            }
+        }
+        y
+    }
+
+    /// The transpose, as a new CSR matrix (a counting sort by column).
+    /// Each row of the result lists its entries in ascending row order of
+    /// `self`.
     pub fn transpose(&self) -> CsrMatrix {
-        let triplets: Vec<(u32, u32, f32)> = (0..self.rows)
-            .flat_map(|r| self.row(r).iter().map(move |&(c, w)| (c, r as u32, w)))
-            .collect();
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
+        let mut counts = vec![0usize; self.cols];
+        for &(c, _) in &self.entries {
+            counts[c as usize] += 1;
+        }
+        let mut t = CsrMatrix::with_row_counts(self.rows, &mut counts);
+        for r in 0..self.rows {
+            for &(c, w) in self.row(r) {
+                t.scatter(&mut counts, c, (r as u32, w));
+            }
+        }
+        t
+    }
+
+    /// A copy with `f` applied to every weight; the sparsity pattern and
+    /// entry order are unchanged.
+    pub fn map_weights(&self, f: impl Fn(f32) -> f32) -> CsrMatrix {
+        CsrMatrix {
+            entries: self.entries.iter().map(|&(c, w)| (c, f(w))).collect(),
+            offsets: self.offsets.clone(),
+            ..*self
+        }
     }
 
     /// Returns a copy with each row scaled by `1 / max(1, row_degree)`
@@ -129,6 +198,18 @@ impl CsrMatrix {
         }
         out
     }
+}
+
+/// The literals of `lits` without repeats, in first-occurrence order.
+/// `seen` is a scratch buffer reused across calls.
+fn distinct_lits<'a>(lits: &[Lit], seen: &'a mut Vec<Lit>) -> &'a [Lit] {
+    seen.clear();
+    for &lit in lits {
+        if !seen.contains(&lit) {
+            seen.push(lit);
+        }
+    }
+    seen
 }
 
 /// The signed bipartite variable–clause graph of Section 4.2.
@@ -168,18 +249,11 @@ impl BipartiteGraph {
         let num_vars = formula.num_vars() as usize;
         let num_clauses = formula.num_clauses();
         let mut triplets: Vec<(u32, u32, f32)> = Vec::with_capacity(formula.num_lits());
+        let mut seen: Vec<Lit> = Vec::new();
         for (j, clause) in formula.clauses().iter().enumerate() {
-            let mut seen: Vec<(u32, bool)> = Vec::with_capacity(clause.len());
-            for &lit in clause.lits() {
-                let key = (lit.var().index(), lit.is_negated());
-                if !seen.contains(&key) {
-                    seen.push(key);
-                    triplets.push((
-                        lit.var().index(),
-                        j as u32,
-                        if lit.is_negated() { -1.0 } else { 1.0 },
-                    ));
-                }
+            for lit in distinct_lits(clause.lits(), &mut seen) {
+                let weight = if lit.is_negated() { -1.0 } else { 1.0 };
+                triplets.push((lit.var().index(), j as u32, weight));
             }
         }
         let var_to_clause = CsrMatrix::from_triplets(num_vars, num_clauses, &triplets);
@@ -235,13 +309,10 @@ impl LiteralClauseGraph {
         let num_vars = formula.num_vars() as usize;
         let num_clauses = formula.num_clauses();
         let mut triplets: Vec<(u32, u32, f32)> = Vec::with_capacity(formula.num_lits());
+        let mut seen: Vec<Lit> = Vec::new();
         for (j, clause) in formula.clauses().iter().enumerate() {
-            let mut seen: Vec<u32> = Vec::with_capacity(clause.len());
-            for &lit in clause.lits() {
-                if !seen.contains(&lit.code()) {
-                    seen.push(lit.code());
-                    triplets.push((lit.code(), j as u32, 1.0));
-                }
+            for lit in distinct_lits(clause.lits(), &mut seen) {
+                triplets.push((lit.code(), j as u32, 1.0));
             }
         }
         let lit_to_clause = CsrMatrix::from_triplets(2 * num_vars, num_clauses, &triplets);

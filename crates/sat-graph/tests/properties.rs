@@ -16,12 +16,32 @@ fn arb_cnf() -> impl Strategy<Value = Cnf> {
     })
 }
 
-fn arb_csr(rows: usize, cols: usize) -> impl Strategy<Value = CsrMatrix> {
+fn arb_triplets(rows: usize, cols: usize) -> impl Strategy<Value = Vec<(u32, u32, f32)>> {
     proptest::collection::vec(
         (0..rows as u32, 0..cols as u32, -2.0f32..2.0),
         0..rows * cols,
     )
-    .prop_map(move |t| CsrMatrix::from_triplets(rows, cols, &t))
+}
+
+fn arb_csr(rows: usize, cols: usize) -> impl Strategy<Value = CsrMatrix> {
+    arb_triplets(rows, cols).prop_map(move |t| CsrMatrix::from_triplets(rows, cols, &t))
+}
+
+/// Reference CSR construction: one `Vec` per row, pushed in triplet order.
+fn per_row_reference(rows: usize, triplets: &[(u32, u32, f32)]) -> Vec<Vec<(u32, f32)>> {
+    let mut per_row = vec![Vec::new(); rows];
+    for &(r, c, w) in triplets {
+        per_row[r as usize].push((c, w));
+    }
+    per_row
+}
+
+/// Reference transpose: every entry as a swapped triplet, in row order.
+fn triplet_transpose(m: &CsrMatrix) -> CsrMatrix {
+    let triplets: Vec<(u32, u32, f32)> = (0..m.rows())
+        .flat_map(|r| m.row(r).iter().map(move |&(c, w)| (c, r as u32, w)))
+        .collect();
+    CsrMatrix::from_triplets(m.cols(), m.rows(), &triplets)
 }
 
 /// Dense reference of a CSR matrix.
@@ -46,6 +66,32 @@ proptest! {
                 prop_assert!((y[r * 3 + c] - expected).abs() < 1e-4);
             }
         }
+    }
+
+    #[test]
+    fn from_triplets_matches_per_row_reference(t in arb_triplets(7, 5)) {
+        let m = CsrMatrix::from_triplets(7, 5, &t);
+        prop_assert_eq!((m.rows(), m.cols(), m.nnz()), (7, 5, t.len()));
+        for (r, expected) in per_row_reference(7, &t).iter().enumerate() {
+            prop_assert_eq!(m.row(r), expected.as_slice());
+        }
+    }
+
+    #[test]
+    fn transpose_matches_triplet_path(m in arb_csr(6, 8)) {
+        prop_assert_eq!(m.transpose(), triplet_transpose(&m));
+    }
+
+    #[test]
+    fn matmul_dense_t_is_bit_identical_to_transpose_then_matmul(
+        m in arb_csr(6, 4),
+        x in proptest::collection::vec(-2.0f32..2.0, 6 * 3)
+    ) {
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(m.matmul_dense_t(&x, 3)),
+            bits(m.transpose().matmul_dense(&x, 3))
+        );
     }
 
     #[test]

@@ -333,13 +333,19 @@ fn raw_hashes_then_quote(chars: &[char], mut i: usize) -> bool {
     chars.get(i) == Some(&'"')
 }
 
-/// Consumes a plain `"..."` string starting at the opening quote; returns
-/// the index one past the closing quote.
+/// Consumes a plain `"..."` (or `b"..."`) string starting at the opening
+/// quote; returns the index one past the closing quote. Counts every
+/// newline inside, including one escaped by a `\` line continuation.
 fn consume_string(chars: &[char], mut i: usize, line: &mut u32) -> usize {
     i += 1;
     while i < chars.len() {
         match chars[i] {
-            '\\' => i += 2,
+            '\\' => {
+                if chars.get(i + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             '"' => return i + 1,
             '\n' => {
                 *line += 1;
@@ -378,22 +384,11 @@ fn consume_prefixed_literal(chars: &[char], mut i: usize, line: &mut u32) -> usi
         hashes += 1;
         i += 1;
     }
-    i += 1; // opening quote
     if !raw {
         // plain byte string: handles escapes
-        while i < chars.len() {
-            match chars[i] {
-                '\\' => i += 2,
-                '"' => return i + 1,
-                '\n' => {
-                    *line += 1;
-                    i += 1;
-                }
-                _ => i += 1,
-            }
-        }
-        return i;
+        return consume_string(chars, i, line);
     }
+    i += 1; // opening quote
     while i < chars.len() {
         if chars[i] == '\n' {
             *line += 1;
@@ -619,6 +614,18 @@ mod tests {
         let toks = lex(src);
         let t = toks.tokens.iter().find(|t| t.is_ident("t")).unwrap();
         assert_eq!(t.line, 4);
+    }
+
+    #[test]
+    fn line_numbers_survive_escaped_newlines() {
+        for src in [
+            "let s = \"a \\\n b\";\nlet t = 1;",
+            "let s = b\"a \\\n b\";\nlet t = 1;",
+        ] {
+            let toks = lex(src);
+            let t = toks.tokens.iter().find(|t| t.is_ident("t")).unwrap();
+            assert_eq!(t.line, 3, "{src:?}");
+        }
     }
 
     #[test]
