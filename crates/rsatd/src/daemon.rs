@@ -1266,7 +1266,11 @@ fn execute_solve(daemon: &Daemon, inner: &Arc<Inner>, job: Job, worker_id: u64) 
     budget.deadline = Some(deadline_at);
     budget.max_memory_bytes = Some(headroom);
 
-    solver.set_telemetry(SolverTelemetry::new(format!("session-{sid}/solve-{seq}")));
+    // A recorder costs a clock pair per search phase; install one only
+    // when its run record has somewhere to go.
+    if inner.records.is_some() {
+        solver.set_telemetry(SolverTelemetry::new(format!("session-{sid}/solve-{seq}")));
+    }
 
     let before = *solver.stats();
     let started = Instant::now();
@@ -1419,10 +1423,7 @@ fn quarantine_session(daemon: &Daemon, sid: u64, message: &str) {
 
 /// Appends the solve's [`telemetry::RunRecord`] to the records sink.
 fn emit_record(inner: &Inner, solver: &mut Solver, verdict: &Verdict) {
-    let Some(telemetry) = solver.take_telemetry() else {
-        return;
-    };
-    let Some(records) = &inner.records else {
+    let (Some(records), Some(telemetry)) = (&inner.records, solver.take_telemetry()) else {
         return;
     };
     if let Some(mut record) = telemetry.into_record() {

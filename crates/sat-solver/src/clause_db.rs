@@ -729,7 +729,10 @@ mod tests {
         );
     }
 
+    // The length check is a `debug_assert!`: release builds have no
+    // such panic to expect.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = ">= 2")]
     fn rejects_unit_clause() {
         ClauseDb::default().add(&lits(&[1]), false, 0);

@@ -1,17 +1,41 @@
-//! Telemetry wiring: structured instrumentation of the CDCL search.
+//! The solver's one instrumentation seam, and the JSON forms of its
+//! statistics.
 //!
-//! [`SolverTelemetry`] is the bridge between the solver and the
-//! `telemetry` crate. It is strictly opt-in: a solver without telemetry
-//! installed pays nothing (every hook sits behind an `Option` check), and
-//! an installed recorder never changes search behaviour — it only reads
-//! counters the solver maintains anyway. The invariance test in
-//! `tests/telemetry.rs` pins that guarantee.
+//! Every measurement the CDCL search takes goes through the few
+//! `pub(crate)` methods this module adds to [`Solver`]:
+//!
+//! * [`enter`](Solver::enter) / [`leave`](Solver::leave) bracket a
+//!   [`Phase`]. A phase's recorded time excludes the phases nested inside
+//!   it (minimization inside analysis, inprocessing inside a restart), so
+//!   the solver's phase totals never exceed the solve's wall time.
+//! * [`on_learned`](Solver::on_learned) and
+//!   [`on_reduced`](Solver::on_reduced) are the learned-clause and
+//!   reduction events; [`solve_started`](Solver::solve_started) and
+//!   [`solve_finished`](Solver::solve_finished) bracket one search.
+//! * [`TraceSpan`] and [`on_clause_use`](Solver::on_clause_use) are the
+//!   trace-only sites (`import`, `reduce-score`, `import-use`).
+//!
+//! Three backends sit behind the seam: the opt-in [`SolverTelemetry`]
+//! recorder (runtime: a solver without one pays one branch per site and
+//! reads no clock), trace spans (`trace` feature) and the live metrics
+//! registry (`metrics` feature). All of the solver's `cfg(feature = …)`
+//! gating lives in this module, so default builds compile no trace or
+//! metrics code into the search. The metrics counters that mirror
+//! [`SolverStats`] and [`InprocessStats`] are published as deltas at
+//! restart and reduce boundaries and at solve end, not per event.
+//!
+//! None of it changes the search: the backends only read state the
+//! solver maintains anyway. The invariance tests in `tests/telemetry.rs`,
+//! `tests/trace.rs` and `tests/metrics.rs` pin that guarantee.
 //!
 //! This module also gives the solver's public statistics types a stable
 //! JSON form ([`ToJson`]/[`FromJson`], the workspace's offline stand-in
 //! for serde's `Serialize`/`Deserialize`).
 
-use crate::{DbStats, PolicyKind, SolverStats};
+use crate::clause_db::ClauseRef;
+#[cfg(feature = "metrics")]
+use crate::InprocessStats;
+use crate::{DbStats, PolicyKind, SolveResult, Solver, SolverStats};
 use std::time::{Duration, Instant};
 use telemetry::json::{FromJson, FromJsonError, Json, ToJson};
 use telemetry::{Event, Histogram, NullSink, Phase, PhaseTimes, RunRecord, Sink};
@@ -46,6 +70,9 @@ pub struct SolverTelemetry {
     sink: Box<dyn Sink>,
     progress_interval: Option<Duration>,
     phases: PhaseTimes,
+    /// Running sum of the nanoseconds recorded into `phases`; a phase
+    /// subtracts what grew here while it was open (its nested phases).
+    recorded_ns: u64,
     glue: Histogram,
     learned_len: Histogram,
     trail_depth: Histogram,
@@ -75,6 +102,7 @@ impl SolverTelemetry {
             sink: Box::new(NullSink),
             progress_interval: None,
             phases: PhaseTimes::default(),
+            recorded_ns: 0,
             // Glue is small (tier-1 threshold is 2, "good" clauses < 8);
             // lengths and trail depths span orders of magnitude.
             glue: Histogram::with_bounds(&[1, 2, 3, 4, 5, 6, 8, 12, 16, 32]),
@@ -101,7 +129,9 @@ impl SolverTelemetry {
         self
     }
 
-    /// Per-phase wall time and call counts collected so far.
+    /// Per-phase wall time and call counts collected so far. Each phase's
+    /// time excludes the phases nested inside it, so the solver phases
+    /// add up to at most the solve's wall time.
     pub fn phases(&self) -> &PhaseTimes {
         &self.phases
     }
@@ -133,9 +163,9 @@ impl SolverTelemetry {
         self.record.take()
     }
 
-    // ---- hooks called by the solver ------------------------------------
+    // ---- recorder backend of the seam ----------------------------------
 
-    pub(crate) fn on_solve_start(&mut self, policy: &'static str, num_vars: u64, num_clauses: u64) {
+    fn on_solve_start(&mut self, policy: &'static str, num_vars: u64, num_clauses: u64) {
         self.started = Some(Instant::now());
         self.last_progress = None;
         self.sink.emit(&Event::SolveStart {
@@ -146,40 +176,41 @@ impl SolverTelemetry {
         });
     }
 
+    /// Records `phase` as `inclusive` wall time minus the nested phases
+    /// recorded since `mark` (the [`recorded_ns`](Self::recorded_ns) value
+    /// when the phase was entered).
     #[inline]
-    pub(crate) fn add_phase(&mut self, phase: Phase, elapsed: Duration) {
-        self.phases.add(phase, elapsed);
+    fn add_phase(&mut self, phase: Phase, inclusive: Duration, mark: u64) {
+        let nested = self.recorded_ns - mark;
+        let own = (inclusive.as_nanos() as u64).saturating_sub(nested);
+        self.phases.add(phase, Duration::from_nanos(own));
+        self.recorded_ns += own;
     }
 
     #[inline]
-    pub(crate) fn on_conflict(
+    fn on_learned(
         &mut self,
         glue: u32,
         learned_len: usize,
         trail_depth: usize,
+        stats: &SolverStats,
         live_learned: usize,
     ) {
         self.glue.record(u64::from(glue));
         self.learned_len.record(learned_len as u64);
         self.trail_depth.record(trail_depth as u64);
         self.peak_learned = self.peak_learned.max(live_learned as u64);
+        self.maybe_progress(stats, live_learned);
     }
 
     /// Emits a heartbeat when the configured interval has elapsed. Called
     /// on conflict boundaries only, and only when heartbeats are enabled.
-    pub(crate) fn maybe_progress(&mut self, stats: &SolverStats, live_learned: usize) {
-        let Some(interval) = self.progress_interval else {
-            return;
-        };
-        let Some(started) = self.started else {
+    fn maybe_progress(&mut self, stats: &SolverStats, live_learned: usize) {
+        let (Some(interval), Some(started)) = (self.progress_interval, self.started) else {
             return;
         };
         let now = Instant::now();
-        let due = match self.last_progress {
-            Some(last) => now.duration_since(last) >= interval,
-            None => now.duration_since(started) >= interval,
-        };
-        if !due {
+        if now.duration_since(self.last_progress.unwrap_or(started)) < interval {
             return;
         }
         self.last_progress = Some(now);
@@ -202,24 +233,7 @@ impl SolverTelemetry {
         });
     }
 
-    pub(crate) fn on_reduction(
-        &mut self,
-        reduction_no: u64,
-        candidates: usize,
-        deleted: usize,
-        learned_after: usize,
-        conflicts: u64,
-    ) {
-        self.sink.emit(&Event::Reduction {
-            reduction_no,
-            candidates: candidates as u64,
-            deleted: deleted as u64,
-            learned_after: learned_after as u64,
-            conflicts,
-        });
-    }
-
-    pub(crate) fn on_solve_end(
+    fn on_solve_end(
         &mut self,
         result: &str,
         policy: &'static str,
@@ -246,6 +260,240 @@ impl SolverTelemetry {
         });
         self.sink.flush();
         self.record = Some(record);
+    }
+}
+
+// ---- the seam ------------------------------------------------------------
+
+/// The instrumentation state a [`Solver`] carries.
+#[derive(Default)]
+pub(crate) struct Instruments {
+    /// Opt-in recorder; `None` (the default) costs one branch per site.
+    recorder: Option<Box<SolverTelemetry>>,
+    /// The statistics as last published to the metrics registry.
+    #[cfg(feature = "metrics")]
+    published: (SolverStats, InprocessStats),
+}
+
+/// A phase entered by [`Solver::enter`]; hand it back to
+/// [`Solver::leave`] to record it.
+#[must_use = "a phase is recorded only when its scope is passed to `leave`"]
+pub(crate) struct Scope {
+    phase: Phase,
+    /// Entry time and the recorder's nested-time mark; `None` without a
+    /// recorder, so no clock is read.
+    recorded: Option<(Instant, u64)>,
+    #[cfg(feature = "trace")]
+    _span: telemetry::trace::SpanGuard,
+    /// The sampled metrics timer (`None` when disarmed or unsampled).
+    #[cfg(feature = "metrics")]
+    metered: Option<Instant>,
+}
+
+/// The `phase.*` counter pair metering `phase`, if the registry has one.
+/// Minimization is metered as part of analysis, a restart not at all.
+#[cfg(feature = "metrics")]
+fn meters(phase: Phase) -> Option<(telemetry::metrics::Counter, telemetry::metrics::Counter)> {
+    use telemetry::metrics::Counter;
+    match phase {
+        Phase::Propagate => Some((Counter::PropagateNanos, Counter::PropagateCalls)),
+        Phase::Analyze => Some((Counter::AnalyzeNanos, Counter::AnalyzeCalls)),
+        Phase::Reduce => Some((Counter::ReduceNanos, Counter::ReduceCalls)),
+        Phase::Inprocess => Some((Counter::InprocessNanos, Counter::InprocessCalls)),
+        _ => None,
+    }
+}
+
+/// A span that exists only in traced builds (sub-steps that are not
+/// [`Phase`]s). It ends when dropped.
+pub(crate) struct TraceSpan {
+    #[cfg(feature = "trace")]
+    _guard: telemetry::trace::SpanGuard,
+}
+
+impl TraceSpan {
+    /// Opens the span `name`.
+    #[inline]
+    pub(crate) fn open(name: &'static str) -> Self {
+        #[cfg(not(feature = "trace"))]
+        let _ = name;
+        TraceSpan {
+            #[cfg(feature = "trace")]
+            _guard: telemetry::trace::span(name),
+        }
+    }
+}
+
+impl Solver {
+    /// Installs a telemetry recorder (replacing any previous one). The
+    /// recorder times the solver's phases, tracks glue / clause-length /
+    /// trail-depth distributions, and emits structured events around each
+    /// subsequent `solve` call.
+    pub fn set_telemetry(&mut self, telemetry: SolverTelemetry) {
+        self.instr.recorder = Some(Box::new(telemetry));
+    }
+
+    /// Removes and returns the installed telemetry recorder.
+    pub fn take_telemetry(&mut self) -> Option<SolverTelemetry> {
+        self.instr.recorder.take().map(|t| *t)
+    }
+
+    /// The installed telemetry recorder, if any.
+    pub fn telemetry(&self) -> Option<&SolverTelemetry> {
+        self.instr.recorder.as_deref()
+    }
+
+    /// Enters `phase`: reads the clock only when a recorder is installed
+    /// (plus the trace span and sampled metrics timer in those builds).
+    #[inline]
+    pub(crate) fn enter(&self, phase: Phase) -> Scope {
+        Scope {
+            phase,
+            recorded: self
+                .instr
+                .recorder
+                .as_deref()
+                .map(|t| (Instant::now(), t.recorded_ns)),
+            #[cfg(feature = "trace")]
+            _span: telemetry::trace::span(phase.name()),
+            #[cfg(feature = "metrics")]
+            metered: meters(phase).and_then(|_| telemetry::metrics::phase_timer()),
+        }
+    }
+
+    /// Leaves the phase `scope` was entered with, recording its time
+    /// (exclusive of nested phases) and, at restart and reduce
+    /// boundaries, publishing the metrics counters and gauges.
+    #[inline]
+    pub(crate) fn leave(&mut self, scope: Scope) {
+        #[cfg(feature = "metrics")]
+        if let Some((nanos, calls)) = meters(scope.phase) {
+            telemetry::metrics::phase_done(scope.metered, nanos, calls);
+        }
+        if let (Some((start, mark)), Some(t)) = (scope.recorded, self.instr.recorder.as_deref_mut())
+        {
+            t.add_phase(scope.phase, start.elapsed(), mark);
+        }
+        #[cfg(feature = "metrics")]
+        if matches!(scope.phase, Phase::Restart | Phase::Reduce) {
+            self.publish_metrics(true);
+        }
+    }
+
+    /// The search learned a clause of `len` literals and this `glue` from
+    /// a conflict at `trail_depth`.
+    #[inline]
+    pub(crate) fn on_learned(&mut self, glue: u32, len: usize, trail_depth: usize) {
+        if let Some(t) = self.instr.recorder.as_deref_mut() {
+            t.on_learned(glue, len, trail_depth, &self.stats, self.db.num_learned());
+        }
+    }
+
+    /// A reduction deleted `deleted` of its `candidates`.
+    pub(crate) fn on_reduced(&mut self, candidates: usize, deleted: usize) {
+        if let Some(t) = self.instr.recorder.as_deref_mut() {
+            t.sink.emit(&Event::Reduction {
+                reduction_no: self.stats.reductions,
+                candidates: candidates as u64,
+                deleted: deleted as u64,
+                learned_after: self.db.num_learned() as u64,
+                conflicts: self.stats.conflicts,
+            });
+        }
+    }
+
+    /// Conflict analysis resolved on `cref`. In traced builds, the first
+    /// conflict-side use of a clause imported from another worker is an
+    /// `import-use` instant: paired with the preceding `clause-import`
+    /// instant on the lane, it gives the import-to-use latency.
+    #[inline]
+    pub(crate) fn on_clause_use(&self, cref: ClauseRef) {
+        #[cfg(feature = "trace")]
+        if self.db.clause(cref).imported() {
+            telemetry::trace::instant_with(
+                "import-use",
+                &[("glue", u64::from(self.db.clause(cref).glue()))],
+            );
+        }
+        #[cfg(not(feature = "trace"))]
+        let _ = cref;
+    }
+
+    /// A search starts: the recorder's `solve_start` event and clock.
+    pub(crate) fn solve_started(&mut self) {
+        let policy = self.policy_name();
+        if let Some(t) = self.instr.recorder.as_deref_mut() {
+            t.on_solve_start(
+                policy,
+                u64::from(self.num_vars),
+                self.db.num_original() as u64,
+            );
+        }
+    }
+
+    /// A search ended with `result`: publishes the metrics counters and
+    /// closes the recorder's [`RunRecord`].
+    pub(crate) fn solve_finished(&mut self, result: &SolveResult) {
+        #[cfg(feature = "metrics")]
+        self.publish_metrics(false);
+        if self.instr.recorder.is_none() {
+            return;
+        }
+        let verdict = match result {
+            SolveResult::Sat(_) => "SAT",
+            SolveResult::Unsat => "UNSAT",
+            SolveResult::Unknown => "UNKNOWN",
+        };
+        let policy = self.policy_name();
+        let db = self.db_stats();
+        if let Some(t) = self.instr.recorder.as_deref_mut() {
+            t.on_solve_end(verdict, policy, &self.stats, &db);
+        }
+    }
+
+    /// Publishes the growth of the statistics since the previous call to
+    /// the metrics registry (nothing when disarmed) and, with `gauges`,
+    /// refreshes the memory and live-learned gauges.
+    #[cfg(feature = "metrics")]
+    fn publish_metrics(&mut self, gauges: bool) {
+        use telemetry::metrics::{self, Counter, Gauge};
+        let now = (self.stats, self.inprocess_stats().unwrap_or_default());
+        let (s0, p0) = std::mem::replace(&mut self.instr.published, now);
+        let (s, p) = now;
+        for (counter, after, before) in [
+            (Counter::Propagations, s.propagations, s0.propagations),
+            (Counter::Conflicts, s.conflicts, s0.conflicts),
+            (Counter::Decisions, s.decisions, s0.decisions),
+            (Counter::Restarts, s.restarts, s0.restarts),
+            (Counter::Reductions, s.reductions, s0.reductions),
+            (
+                Counter::LearnedClauses,
+                s.learned_clauses,
+                s0.learned_clauses,
+            ),
+            (
+                Counter::DeletedClauses,
+                s.deleted_clauses,
+                s0.deleted_clauses,
+            ),
+            (Counter::InprocessSubsumed, p.subsumed, p0.subsumed),
+            (
+                Counter::InprocessStrengthened,
+                p.strengthened,
+                p0.strengthened,
+            ),
+            (
+                Counter::InprocessEliminated,
+                p.eliminated_vars,
+                p0.eliminated_vars,
+            ),
+        ] {
+            metrics::add(counter, after.saturating_sub(before));
+        }
+        if gauges && metrics::armed() {
+            metrics::set_gauge(Gauge::MemoryBytes, self.approx_memory_bytes() as f64);
+            metrics::set_gauge(Gauge::LiveLearned, self.db.num_learned() as f64);
+        }
     }
 }
 

@@ -2,8 +2,7 @@
 
 use crate::clause_db::{ClauseDb, ClauseRef};
 use crate::heap::VarHeap;
-use crate::instrument::SolverTelemetry;
-use crate::observer::SearchObserver;
+use crate::instrument::{Instruments, SolverTelemetry, TraceSpan};
 use crate::proof::ProofLogger;
 use crate::varmap::{at, LitMap, VarMap};
 use crate::vmtf::VmtfQueue;
@@ -123,10 +122,8 @@ pub struct Solver {
     /// Scratch for root-level clause normalization on load and import.
     clause_buf: Vec<Lit>,
     pub(crate) proof: Option<ProofLogger>,
-    observer: Option<Box<dyn SearchObserver>>,
-    /// Opt-in instrumentation; `None` (the default) costs one branch per
-    /// hook site and nothing else.
-    telemetry: Option<Box<SolverTelemetry>>,
+    /// The instrumentation seam (see `instrument.rs`).
+    pub(crate) instr: Instruments,
     /// Cooperative cancellation: when set and raised, the search returns
     /// [`SolveResult::Unknown`] at the next conflict or decision boundary.
     stop: Option<Arc<AtomicBool>>,
@@ -190,8 +187,7 @@ impl Solver {
             glue_levels: Vec::new(),
             clause_buf: Vec::new(),
             proof: None,
-            observer: None,
-            telemetry: None,
+            instr: Instruments::default(),
             stop: None,
             stop_cause: None,
             rejected_imports: 0,
@@ -318,48 +314,6 @@ impl Solver {
         let watches = live_clauses * 2 * std::mem::size_of::<Watch>() as u64;
         let trail = (self.trail.capacity() * std::mem::size_of::<Lit>()) as u64;
         self.db.memory_bytes() + u64::from(self.num_vars) * PER_VAR + watches + trail
-    }
-
-    /// Installs a [`SearchObserver`] that receives conflict, restart, and
-    /// reduction callbacks during solving (replacing any previous one).
-    pub fn set_observer(&mut self, observer: Box<dyn SearchObserver>) {
-        self.observer = Some(observer);
-    }
-
-    /// Removes and returns the installed observer, if it has type `T`.
-    pub fn take_observer<T: SearchObserver>(&mut self) -> Option<T> {
-        let boxed = self.observer.take()?;
-        let any: Box<dyn std::any::Any> = boxed;
-        match any.downcast::<T>() {
-            Ok(t) => Some(*t),
-            Err(any) => {
-                // wrong type: reinstall so the observer keeps running
-                self.observer = Some(
-                    any.downcast::<Box<dyn SearchObserver>>()
-                        .map(|b| *b)
-                        .unwrap_or(Box::new(crate::observer::NullObserver)),
-                );
-                None
-            }
-        }
-    }
-
-    /// Installs a telemetry recorder (replacing any previous one). The
-    /// recorder times the solver's phases, tracks glue / clause-length /
-    /// trail-depth distributions, and emits structured events around each
-    /// subsequent `solve` call.
-    pub fn set_telemetry(&mut self, telemetry: SolverTelemetry) {
-        self.telemetry = Some(Box::new(telemetry));
-    }
-
-    /// Removes and returns the installed telemetry recorder.
-    pub fn take_telemetry(&mut self) -> Option<SolverTelemetry> {
-        self.telemetry.take().map(|t| *t)
-    }
-
-    /// The installed telemetry recorder, if any.
-    pub fn telemetry(&self) -> Option<&SolverTelemetry> {
-        self.telemetry.as_deref()
     }
 
     /// Solver statistics accumulated so far.
@@ -532,8 +486,7 @@ impl Solver {
     /// Drains the clause-sharing channel and integrates every foreign
     /// clause. Only called at the root level (restart boundaries).
     fn import_shared(&mut self) {
-        #[cfg(feature = "trace")]
-        let _import_span = telemetry::trace::span("import");
+        let _span = TraceSpan::open("import");
         let Some(mut exchange) = self.exchange.take() else {
             return;
         };
@@ -743,9 +696,7 @@ impl Solver {
     /// First-UIP conflict analysis. Returns the learned clause (asserting
     /// literal first), the backjump level, and the clause's glue.
     fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let analyze_timer = self.telemetry.as_ref().map(|_| Instant::now());
-        #[cfg(feature = "trace")]
-        let _analyze_span = telemetry::trace::span("analyze");
+        let analyze = self.enter(Phase::Analyze);
         // xtask: allow(hot-path-purity) per-conflict, not per-propagation: the learned clause must be materialized
         let mut learned: Vec<Lit> = vec![Lit::from_code(0)]; // placeholder for UIP
         let mut counter = 0u32; // literals of the current level not yet resolved
@@ -756,16 +707,7 @@ impl Solver {
 
         let uip = loop {
             self.bump_clause(cref);
-            #[cfg(feature = "trace")]
-            if self.db.clause(cref).imported() {
-                // First conflict-side use of a clause imported from another
-                // worker; pairing it with the preceding "clause-import"
-                // instant on this lane gives the import-to-use latency.
-                telemetry::trace::instant_with(
-                    "import-use",
-                    &[("glue", u64::from(self.db.clause(cref).glue()))],
-                );
-            }
+            self.on_clause_use(cref);
             // Iterate the clause's literals; skip the resolved literal,
             // which sits at position 0 of its reason clause.
             let clen = self.db.clause(cref).len();
@@ -816,9 +758,7 @@ impl Solver {
         }
 
         // Recursive clause minimization: drop implied literals.
-        let minimize_timer = self.telemetry.as_ref().map(|_| Instant::now());
-        #[cfg(feature = "trace")]
-        let minimize_span = telemetry::trace::span("minimize");
+        let minimize = self.enter(Phase::Minimize);
         let before = learned.len();
         // In-place compaction: `learned` is a local, so `self` stays
         // freely borrowable for `lit_redundant`; no per-conflict side
@@ -832,9 +772,7 @@ impl Solver {
         }
         learned.truncate(w);
         self.stats.minimized_lits += (before - learned.len()) as u64;
-        #[cfg(feature = "trace")]
-        drop(minimize_span);
-        let minimize_elapsed = minimize_timer.map(|start| start.elapsed());
+        self.leave(minimize);
 
         // Backjump level: second-highest level in the learned clause.
         let (bt_level, glue) = if learned.len() == 1 {
@@ -859,16 +797,7 @@ impl Solver {
         for v in self.analyze_toclear.drain(..) {
             self.seen.set(v, false);
         }
-        if let (Some(start), Some(minimize), Some(t)) = (
-            analyze_timer,
-            minimize_elapsed,
-            self.telemetry.as_deref_mut(),
-        ) {
-            // Keep the two phases disjoint: `analyze` excludes the
-            // minimization it contains, so phase totals add up.
-            t.add_phase(Phase::Analyze, start.elapsed().saturating_sub(minimize));
-            t.add_phase(Phase::Minimize, minimize);
-        }
+        self.leave(analyze);
         (learned, bt_level, glue)
     }
 
@@ -1042,33 +971,31 @@ impl Solver {
     /// Deletes low-scoring reducible learned clauses (the REDUCE step whose
     /// scoring the paper varies) and resets the frequency counters.
     fn reduce_db(&mut self) {
-        let reduce_timer = self.telemetry.as_ref().map(|_| Instant::now());
-        #[cfg(feature = "trace")]
-        let _reduce_span = telemetry::trace::span("reduce");
+        let reduce = self.enter(Phase::Reduce);
         self.stats.reductions += 1;
-        #[cfg(feature = "trace")]
-        let score_span = telemetry::trace::span("reduce-score");
-        let mut candidates: Vec<(u64, u32, ClauseRef)> = Vec::new();
-        for cref in self.db.iter_learned() {
-            let c = self.db.clause(cref);
-            if c.glue() <= self.config.tier1_glue || c.protected() || self.is_reason(cref) {
-                continue;
+        let candidates = {
+            let _span = TraceSpan::open("reduce-score");
+            let mut candidates: Vec<(u64, u32, ClauseRef)> = Vec::new();
+            for cref in self.db.iter_learned() {
+                let c = self.db.clause(cref);
+                if c.glue() <= self.config.tier1_glue || c.protected() || self.is_reason(cref) {
+                    continue;
+                }
+                let score = self.policy.score(&ClauseScoreCtx {
+                    lits: c.lits(),
+                    glue: c.glue(),
+                    activity: c.activity(),
+                    freq: &self.freq,
+                });
+                candidates.push((score, c.slot(), cref));
             }
-            let score = self.policy.score(&ClauseScoreCtx {
-                lits: c.lits(),
-                glue: c.glue(),
-                activity: c.activity(),
-                freq: &self.freq,
-            });
-            candidates.push((score, c.slot(), cref));
-        }
-        // Lowest scores first; ties broken by slot id for determinism.
-        // Slot ids come from the LIFO free list the clause slab used, so
-        // the deletion order (and the search) does not depend on where a
-        // clause sits in the arena.
-        candidates.sort_unstable();
-        #[cfg(feature = "trace")]
-        drop(score_span);
+            // Lowest scores first; ties broken by slot id for determinism.
+            // Slot ids come from the LIFO free list the clause slab used, so
+            // the deletion order (and the search) does not depend on where a
+            // clause sits in the arena.
+            candidates.sort_unstable();
+            candidates
+        };
         let delete_count = (candidates.len() as f64 * self.config.reduce_fraction).floor() as usize;
         for &(_, _, cref) in candidates.iter().take(delete_count) {
             if let Some(p) = &mut self.proof {
@@ -1083,24 +1010,8 @@ impl Solver {
         if self.db.needs_compaction() {
             self.compact_db();
         }
-        if let Some(obs) = &mut self.observer {
-            obs.on_reduction(self.stats.reductions, delete_count, candidates.len());
-        }
-        if let Some(start) = reduce_timer {
-            let reductions = self.stats.reductions;
-            let conflicts = self.stats.conflicts;
-            let learned_after = self.db.num_learned();
-            if let Some(t) = &mut self.telemetry {
-                t.add_phase(Phase::Reduce, start.elapsed());
-                t.on_reduction(
-                    reductions,
-                    candidates.len(),
-                    delete_count,
-                    learned_after,
-                    conflicts,
-                );
-            }
-        }
+        self.leave(reduce);
+        self.on_reduced(candidates.len(), delete_count);
         self.freq.reset();
         self.reduce_limit += self.config.reduce_inc;
         self.checkpoint(Checkpoint::PostReduce);
@@ -1215,34 +1126,13 @@ impl Solver {
         &self.core
     }
 
-    /// Runs the CDCL loop, bracketing it with telemetry solve start/end
-    /// events when a recorder is installed. The recorder only reads state
-    /// the solver maintains anyway, so installing one never changes the
-    /// search (see the invariance test in `tests/telemetry.rs`).
+    /// Runs the CDCL loop, bracketed by the instrumentation seam's solve
+    /// start and end.
     fn search(&mut self, budget: Budget) -> SolveResult {
         self.stop_cause = None;
-        if self.telemetry.is_some() {
-            let policy = self.policy.name();
-            let num_vars = u64::from(self.num_vars);
-            let num_clauses = self.db.num_original() as u64;
-            if let Some(t) = &mut self.telemetry {
-                t.on_solve_start(policy, num_vars, num_clauses);
-            }
-        }
+        self.solve_started();
         let result = self.search_loop(budget);
-        if self.telemetry.is_some() {
-            let verdict = match &result {
-                SolveResult::Sat(_) => "SAT",
-                SolveResult::Unsat => "UNSAT",
-                SolveResult::Unknown => "UNKNOWN",
-            };
-            let policy = self.policy.name();
-            let stats = self.stats;
-            let db = self.db_stats();
-            if let Some(t) = &mut self.telemetry {
-                t.on_solve_end(verdict, policy, &stats, &db);
-            }
-        }
+        self.solve_finished(&result);
         result
     }
 
@@ -1259,35 +1149,11 @@ impl Solver {
             return SolveResult::Unsat;
         }
         loop {
-            let bcp_timer = self.telemetry.as_ref().map(|_| Instant::now());
-            #[cfg(feature = "trace")]
-            let bcp_span = telemetry::trace::span("propagate");
-            #[cfg(feature = "metrics")]
-            let metrics_props_before = self.stats.propagations;
-            #[cfg(feature = "metrics")]
-            let metrics_bcp_timer = telemetry::metrics::phase_timer();
+            let bcp = self.enter(Phase::Propagate);
             let conflict = self.propagate();
-            #[cfg(feature = "metrics")]
-            {
-                telemetry::metrics::phase_done(
-                    metrics_bcp_timer,
-                    telemetry::metrics::Counter::PropagateNanos,
-                    telemetry::metrics::Counter::PropagateCalls,
-                );
-                telemetry::metrics::add(
-                    telemetry::metrics::Counter::Propagations,
-                    self.stats.propagations.saturating_sub(metrics_props_before),
-                );
-            }
-            #[cfg(feature = "trace")]
-            drop(bcp_span);
-            if let (Some(start), Some(t)) = (bcp_timer, self.telemetry.as_deref_mut()) {
-                t.add_phase(Phase::Propagate, start.elapsed());
-            }
+            self.leave(bcp);
             if let Some(conflict) = conflict {
                 self.stats.conflicts += 1;
-                #[cfg(feature = "metrics")]
-                telemetry::metrics::inc(telemetry::metrics::Counter::Conflicts);
                 if self.decision_level() == 0 {
                     self.ok = false;
                     if let Some(p) = &mut self.proof {
@@ -1296,23 +1162,9 @@ impl Solver {
                     return SolveResult::Unsat;
                 }
                 let trail_depth = self.trail.len();
-                #[cfg(feature = "metrics")]
-                let metrics_analyze_timer = telemetry::metrics::phase_timer();
                 let (learned, bt_level, glue) = self.analyze(conflict);
-                #[cfg(feature = "metrics")]
-                {
-                    telemetry::metrics::phase_done(
-                        metrics_analyze_timer,
-                        telemetry::metrics::Counter::AnalyzeNanos,
-                        telemetry::metrics::Counter::AnalyzeCalls,
-                    );
-                    telemetry::metrics::inc(telemetry::metrics::Counter::LearnedClauses);
-                }
                 self.stats.learned_clauses += 1;
                 self.stats.glue_sum += glue as u64;
-                if let Some(obs) = &mut self.observer {
-                    obs.on_conflict(self.stats.conflicts, glue, learned.len());
-                }
                 if let Some(p) = &mut self.proof {
                     p.add(&learned);
                 }
@@ -1337,35 +1189,12 @@ impl Solver {
                     }
                 }
                 self.checkpoint(Checkpoint::PostLearn);
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.on_conflict(glue, learned.len(), trail_depth, self.db.num_learned());
-                    t.maybe_progress(&self.stats, self.db.num_learned());
-                }
+                self.on_learned(glue, learned.len(), trail_depth);
                 self.decay_activities();
                 if self.restart.on_conflict(glue) {
-                    let restart_timer = self.telemetry.as_ref().map(|_| Instant::now());
-                    #[cfg(feature = "trace")]
-                    let _restart_span = telemetry::trace::span("restart");
+                    let restart = self.enter(Phase::Restart);
                     self.restart.on_restart();
                     self.stats.restarts += 1;
-                    // Restart boundaries double as the gauge refresh points:
-                    // cheap, frequent enough for live monitoring, and off
-                    // the per-propagation fast path.
-                    #[cfg(feature = "metrics")]
-                    if telemetry::metrics::armed() {
-                        telemetry::metrics::inc(telemetry::metrics::Counter::Restarts);
-                        telemetry::metrics::set_gauge(
-                            telemetry::metrics::Gauge::MemoryBytes,
-                            self.approx_memory_bytes() as f64,
-                        );
-                        telemetry::metrics::set_gauge(
-                            telemetry::metrics::Gauge::LiveLearned,
-                            self.db.num_learned() as f64,
-                        );
-                    }
-                    if let Some(obs) = &mut self.observer {
-                        obs.on_restart(self.stats.restarts);
-                    }
                     self.backtrack(0);
                     // Restart boundaries are the import points: the trail is
                     // at the root level, so foreign clauses can be attached,
@@ -1381,56 +1210,15 @@ impl Solver {
                     // is at the root, so clauses can be strengthened,
                     // deleted, or replaced without touching live decisions.
                     if self.inprocess_due() {
-                        let inprocess_timer = self.telemetry.as_ref().map(|_| Instant::now());
-                        #[cfg(feature = "trace")]
-                        let inprocess_span = telemetry::trace::span("inprocess");
-                        #[cfg(feature = "metrics")]
-                        let metrics_inprocess_timer = telemetry::metrics::phase_timer();
-                        #[cfg(feature = "metrics")]
-                        let inprocess_before = self.inprocess_stats().unwrap_or_default();
+                        let inprocess = self.enter(Phase::Inprocess);
                         let still_sat = self.inprocess_round();
-                        #[cfg(feature = "metrics")]
-                        {
-                            telemetry::metrics::phase_done(
-                                metrics_inprocess_timer,
-                                telemetry::metrics::Counter::InprocessNanos,
-                                telemetry::metrics::Counter::InprocessCalls,
-                            );
-                            if telemetry::metrics::armed() {
-                                let after = self.inprocess_stats().unwrap_or_default();
-                                telemetry::metrics::add(
-                                    telemetry::metrics::Counter::InprocessSubsumed,
-                                    after.subsumed.saturating_sub(inprocess_before.subsumed),
-                                );
-                                telemetry::metrics::add(
-                                    telemetry::metrics::Counter::InprocessStrengthened,
-                                    after
-                                        .strengthened
-                                        .saturating_sub(inprocess_before.strengthened),
-                                );
-                                telemetry::metrics::add(
-                                    telemetry::metrics::Counter::InprocessEliminated,
-                                    after
-                                        .eliminated_vars
-                                        .saturating_sub(inprocess_before.eliminated_vars),
-                                );
-                            }
-                        }
-                        #[cfg(feature = "trace")]
-                        drop(inprocess_span);
-                        if let (Some(start), Some(t)) =
-                            (inprocess_timer, self.telemetry.as_deref_mut())
-                        {
-                            t.add_phase(Phase::Inprocess, start.elapsed());
-                        }
+                        self.leave(inprocess);
                         if !still_sat {
                             return SolveResult::Unsat;
                         }
                     }
                     self.checkpoint(Checkpoint::PostBackjump);
-                    if let (Some(start), Some(t)) = (restart_timer, self.telemetry.as_deref_mut()) {
-                        t.add_phase(Phase::Restart, start.elapsed());
-                    }
+                    self.leave(restart);
                 }
                 if let Some(cause) = self.check_budget(&budget) {
                     self.stop_cause = Some(cause);
@@ -1456,40 +1244,11 @@ impl Solver {
                     .num_learned()
                     .saturating_sub(self.num_assigned_reasons());
                 if reducible >= self.reduce_limit {
-                    #[cfg(feature = "metrics")]
-                    let metrics_reduce_timer = telemetry::metrics::phase_timer();
-                    #[cfg(feature = "metrics")]
-                    let metrics_deleted_before = self.stats.deleted_clauses;
                     self.reduce_db();
-                    #[cfg(feature = "metrics")]
-                    if telemetry::metrics::armed() {
-                        telemetry::metrics::phase_done(
-                            metrics_reduce_timer,
-                            telemetry::metrics::Counter::ReduceNanos,
-                            telemetry::metrics::Counter::ReduceCalls,
-                        );
-                        telemetry::metrics::inc(telemetry::metrics::Counter::Reductions);
-                        telemetry::metrics::add(
-                            telemetry::metrics::Counter::DeletedClauses,
-                            self.stats
-                                .deleted_clauses
-                                .saturating_sub(metrics_deleted_before),
-                        );
-                        telemetry::metrics::set_gauge(
-                            telemetry::metrics::Gauge::MemoryBytes,
-                            self.approx_memory_bytes() as f64,
-                        );
-                        telemetry::metrics::set_gauge(
-                            telemetry::metrics::Gauge::LiveLearned,
-                            self.db.num_learned() as f64,
-                        );
-                    }
                 }
                 match self.decide() {
                     Some(l) => {
                         self.stats.decisions += 1;
-                        #[cfg(feature = "metrics")]
-                        telemetry::metrics::inc(telemetry::metrics::Counter::Decisions);
                         self.trail_lim.push(self.trail.len());
                         self.assign(l, None);
                     }

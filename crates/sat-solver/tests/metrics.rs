@@ -126,10 +126,9 @@ fn registry_counters_agree_with_solver_stats() {
     assert_eq!(snap.counter(Counter::Restarts), stats.restarts);
     assert_eq!(snap.counter(Counter::Reductions), stats.reductions);
     assert_eq!(snap.counter(Counter::DeletedClauses), stats.deleted_clauses);
-    // Propagations are deltas captured around the search loop's BCP call;
-    // the solver also propagates outside the loop (e.g. while loading
-    // units), so the registry may lag slightly — never lead.
-    assert!(snap.counter(Counter::Propagations) <= stats.propagations);
+    // The counters are published as `SolverStats` deltas, so they match
+    // exactly, propagations outside the search loop included.
+    assert_eq!(snap.counter(Counter::Propagations), stats.propagations);
     assert!(snap.counter(Counter::Propagations) > 0);
     // Phase meters fired, and their clock totals are plausible.
     assert!(snap.counter(Counter::PropagateCalls) > 0);

@@ -78,6 +78,15 @@ fn event_stream_brackets_the_solve_and_matches_stats() {
         .filter(|e| matches!(e, Event::Reduction { .. }))
         .count() as u64;
     assert_eq!(reductions, stats.reductions);
+    let deleted: u64 = events
+        .iter()
+        .map(|e| match e {
+            Event::Reduction { deleted, .. } => *deleted,
+            _ => 0,
+        })
+        .sum();
+    assert!(deleted > 0);
+    assert_eq!(deleted, stats.deleted_clauses);
 
     let Some(Event::SolveStart {
         instance_id,
@@ -133,6 +142,47 @@ fn recorder_histograms_match_solver_counters() {
     let record = telemetry.into_record().expect("solve completed");
     assert_eq!(record.result, "UNSAT");
     assert!(record.solve_time_s >= 0.0);
+}
+
+#[test]
+fn solver_phases_add_up_to_at_most_the_solve_time() {
+    // Inprocessing at every restart nests the `inprocess` phase inside
+    // `restart`: a phase's time must exclude its nested phases, or the
+    // totals overshoot the wall time.
+    let f = php(8, 7);
+    let config = SolverConfig {
+        inprocess: true,
+        inprocess_interval: 1,
+        ..SolverConfig::default()
+    };
+    let mut solver = Solver::new(&f, config);
+    solver.set_telemetry(SolverTelemetry::new("php-8-7"));
+    assert!(solver.solve().is_unsat());
+    let record = solver
+        .take_telemetry()
+        .and_then(SolverTelemetry::into_record)
+        .expect("solve completed");
+    assert!(record.phases.calls(Phase::Inprocess) > 0);
+    assert!(record.phases.calls(Phase::Minimize) > 0);
+    let solver_phases = [
+        Phase::Propagate,
+        Phase::Analyze,
+        Phase::Minimize,
+        Phase::Reduce,
+        Phase::Restart,
+        Phase::Inprocess,
+    ];
+    let total: Duration = solver_phases
+        .iter()
+        .map(|&p| record.phases.elapsed(p))
+        .sum();
+    assert!(
+        total.as_secs_f64() <= record.solve_time_s,
+        "phases sum to {:.6} s, more than the solve's {:.6} s: {:?}",
+        total.as_secs_f64(),
+        record.solve_time_s,
+        record.phases
+    );
 }
 
 #[test]

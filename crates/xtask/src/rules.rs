@@ -43,6 +43,11 @@ const HOT_PATH_MODULES: &[&str] = &[
     "crates/sat-solver/src/varmap.rs",
 ];
 
+/// The solver's instrumentation seam: the search's `trace::` and
+/// `metrics::` calls live here, so the feature-gate rules follow them
+/// (the other hot-path rules do not apply: this is not BCP code).
+const INSTRUMENT_MODULE: &str = "crates/sat-solver/src/instrument.rs";
+
 /// Modules that coordinate racing threads. `Ordering::Relaxed` is suspect
 /// here: the portfolio stop flag and winner CAS carry real happens-before
 /// edges (Release store / Acquire load), and a relaxed operation on one of
@@ -119,6 +124,8 @@ pub fn lint_lexed(
         no_panic(path, tokens, &mut found);
         no_index(path, tokens, &mut found);
         no_hard_assert(path, tokens, &mut found);
+    }
+    if is_hot_path(path) || path == INSTRUMENT_MODULE {
         telemetry_feature_gate(path, src, tokens, &mut found, "trace", "trace-feature-gate");
         telemetry_feature_gate(
             path,
@@ -259,9 +266,10 @@ fn no_hard_assert(path: &str, tokens: &[Token], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `trace-feature-gate` / `metrics-feature-gate`: in hot-path modules
-/// every `trace::` (resp. `metrics::`) call site must sit under a
-/// `#[cfg(feature = "...")]` gate naming that telemetry feature. Elsewhere
+/// `trace-feature-gate` / `metrics-feature-gate`: in hot-path modules and
+/// the solver's instrumentation seam (`instrument.rs`, which the hot path
+/// calls into) every `trace::` (resp. `metrics::`) call site must sit
+/// under a `#[cfg(feature = "...")]` gate naming that telemetry feature. Elsewhere
 /// both APIs may rely on their disarmed fast path (one relaxed atomic
 /// load), but BCP and conflict analysis run millions of times per second —
 /// default builds must compile to literally zero telemetry code there.
@@ -888,6 +896,24 @@ mod tests {
         // An audited site can be annotated inline.
         let allowed = "fn f() {\n    telemetry::trace::instant(\"x\"); // xtask: allow(trace-feature-gate) cold slow path\n}";
         assert!(run(HOT, allowed).is_empty());
+    }
+
+    #[test]
+    fn feature_gates_follow_calls_into_the_instrumentation_seam() {
+        let src = "fn f(v: &[u64]) -> u64 {\n    telemetry::trace::instant(\"x\");\n    telemetry::metrics::inc(telemetry::metrics::Counter::Conflicts);\n    #[cfg(feature = \"trace\")]\n    telemetry::trace::instant(\"y\");\n    v[0] + v.first().copied().unwrap()\n}";
+        let d = run(INSTRUMENT_MODULE, src);
+        // Both ungated calls are caught; the seam is not BCP code, so
+        // indexing and `unwrap` are not.
+        assert_eq!(
+            rules(&d),
+            vec![
+                "trace-feature-gate",
+                "metrics-feature-gate",
+                "metrics-feature-gate"
+            ],
+            "{d:?}"
+        );
+        assert!(d.iter().all(|d| d.line <= 3));
     }
 
     #[test]
